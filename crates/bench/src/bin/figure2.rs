@@ -37,7 +37,8 @@ fn main() {
         );
     }
     println!();
-    println!("* = [18] failed (node budget exhausted), matching the paper's ispd18_test10 entry.");
+    println!("* = [18] failed (emulated size cliff or node budget), matching the paper's");
+    println!("ispd18_test10 entry.");
     println!("Paper shape: CR&P k=1 adds a small margin over baseline; k=10 grows by a");
     println!("constant factor, not exponentially; [18] is the slowest add-on.");
 }

@@ -35,6 +35,14 @@ pub struct IterationReport {
     pub cost_before: f64,
     /// Total Eq. 1 routing cost after the iteration.
     pub cost_after: f64,
+    /// Branch-and-bound nodes the Eq. 12 selection ILP explored.
+    pub select_nodes: u64,
+    /// Selection conflict components whose search hit the node limit.
+    pub select_unproven_components: usize,
+    /// Critical cells kept in place because their selection component
+    /// hit the node limit with no incumbent (not because staying was
+    /// optimal).
+    pub select_fallback_cells: usize,
 }
 
 /// The complete resumable state of a [`Crp`] engine between iterations:
@@ -260,7 +268,7 @@ impl Crp {
 
         // Step 4: select with the Eq. 12 ILP.
         let t = Instant::now();
-        let chosen = select_candidates(design, &per_cell, &self.config);
+        let selection = select_candidates(design, &per_cell, &self.config);
         self.timers.select += t.elapsed();
 
         // Step 5: update database — apply moves and reroute.
@@ -270,7 +278,7 @@ impl Crp {
         let mut moved_this_iter: HashSet<CellId> = HashSet::new();
         let mut nets_to_reroute: Vec<NetId> = Vec::new();
         let mut occupancy = RowMap::new(design);
-        for (cands, &pick) in per_cell.iter().zip(&chosen) {
+        for (cands, &pick) in per_cell.iter().zip(&selection.chosen) {
             let cand = &cands[pick];
             if cand.is_stay(design) {
                 continue;
@@ -337,6 +345,9 @@ impl Crp {
             rerouted_nets: nets_to_reroute.len(),
             cost_before,
             cost_after: routing.total_cost(grid),
+            select_nodes: selection.nodes,
+            select_unproven_components: selection.unproven_components,
+            select_fallback_cells: selection.fallback_cells,
         }
     }
 }

@@ -244,10 +244,10 @@ impl<'a> Legalizer<'a> {
             .chosen
             .iter()
             .map(|&v| {
-                let (cc, pos, orient, _) = var_info[var_index(v)];
-                (cc, pos, orient)
+                let (cc, pos, orient, _) = var_info[var_index(v?)];
+                Some((cc, pos, orient))
             })
-            .collect();
+            .collect::<Option<_>>()?;
         Some((moves, solution.objective))
     }
 }

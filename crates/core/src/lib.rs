@@ -79,5 +79,5 @@ pub use median_move::{MedianMoveOutcome, MedianMover, MedianMoverConfig};
 pub use parallel::run_indexed;
 pub use price_cache::{PriceCache, PriceRegion};
 pub use replay_rng::ReplayRng;
-pub use select::select_candidates;
+pub use select::{select_candidates, Selection};
 pub use timers::StageTimers;

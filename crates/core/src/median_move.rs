@@ -271,9 +271,9 @@ impl MedianMover {
             }
             let budget = self.config.node_limit.saturating_sub(nodes_spent);
             match model.solve(SolveLimits { max_nodes: budget }) {
-                Ok(s) if s.proven_optimal => {
+                Ok(s) if s.proven_optimal() => {
                     nodes_spent += s.nodes;
-                    for &v in &s.chosen {
+                    for v in s.chosen.iter().flatten() {
                         let (g, i) = var_origin[v.0 as usize];
                         fixed[g] = Some(i);
                     }
@@ -281,11 +281,6 @@ impl MedianMover {
                 Ok(s) => {
                     return MedianMoveOutcome::Failed {
                         nodes: nodes_spent + s.nodes,
-                    }
-                }
-                Err(crp_ilp::SolveError::NodeLimit { nodes }) => {
-                    return MedianMoveOutcome::Failed {
-                        nodes: nodes_spent + nodes,
                     }
                 }
                 Err(_) => return MedianMoveOutcome::Failed { nodes: nodes_spent },

@@ -2,8 +2,23 @@
 
 use crate::candidate::Candidate;
 use crate::config::CrpConfig;
-use crp_ilp::{Model, SolveLimits, VarId};
-use crp_netlist::Design;
+use crp_geom::Rect;
+use crp_ilp::{Model, Solution, SolveLimits, VarId};
+use crp_netlist::{CellId, Design};
+
+/// The outcome of one Eq. 12 selection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selection {
+    /// The chosen index into each cell's candidate list.
+    pub chosen: Vec<usize>,
+    /// Branch-and-bound nodes the solver explored.
+    pub nodes: u64,
+    /// Conflict components whose search hit the node limit.
+    pub unproven_components: usize,
+    /// Cells kept at their stay candidate because their component hit
+    /// the node limit before finding any feasible assignment.
+    pub fallback_cells: usize,
+}
 
 /// Selects one candidate per critical cell, minimizing the summed
 /// Algorithm-3 routing cost (Eq. 12), subject to spatial compatibility:
@@ -12,9 +27,10 @@ use crp_netlist::Design;
 /// - two candidates whose claimed footprints overlap are mutually
 ///   exclusive.
 ///
-/// Returns the chosen index into each cell's candidate list. The all-stay
-/// assignment is always feasible, so the solve cannot be infeasible; if
-/// the node limit is hit with no incumbent, all-stay is returned.
+/// The all-stay assignment is feasible on a legal placement. Each
+/// conflict component has its own node budget
+/// (`config.ilp_node_limit`); a component that hits it keeps its best
+/// incumbent, and only the cells of a component without one stay put.
 ///
 /// # Panics
 ///
@@ -24,105 +40,125 @@ pub fn select_candidates(
     design: &Design,
     per_cell: &[Vec<Candidate>],
     config: &CrpConfig,
-) -> Vec<usize> {
+) -> Selection {
     assert!(
         per_cell.iter().all(|c| !c.is_empty()),
         "every cell needs >= 1 candidate"
     );
-    if per_cell.is_empty() {
-        return Vec::new();
-    }
 
+    // One variable per candidate, in cell order.
     let mut model = Model::new();
-    // var -> (group, index within group)
-    let mut var_origin: Vec<(usize, usize)> = Vec::new();
-    let mut groups: Vec<Vec<VarId>> = Vec::with_capacity(per_cell.len());
+    let mut vars: Vec<VarId> = Vec::new();
+    for cands in per_cell {
+        let group: Vec<VarId> = cands
+            .iter()
+            .map(|c| model.add_var(c.routing_cost))
+            .collect();
+        vars.extend(&group);
+        model.add_exactly_one(group);
+    }
+    for_each_conflict(design, per_cell, |a, b| {
+        model.add_conflict(vars[a], vars[b])
+    });
+
+    // Stay candidates never conflict on a legal placement, so only an
+    // overlapping input placement makes the model infeasible: then every
+    // cell falls back to staying.
+    let solution = model
+        .solve(SolveLimits {
+            max_nodes: config.ilp_node_limit,
+        })
+        .unwrap_or_else(|_| Solution {
+            chosen: vec![None; per_cell.len()],
+            objective: 0.0,
+            nodes: 0,
+            unproven_components: 0,
+        });
+    let mut first = 0;
+    let mut fallback_cells = 0;
+    let chosen = per_cell
+        .iter()
+        .zip(&solution.chosen)
+        .map(|(cands, pick)| {
+            let i = match pick {
+                Some(v) => v.0 as usize - first,
+                None => {
+                    fallback_cells += 1;
+                    cands.iter().position(|c| c.is_stay(design)).unwrap_or(0)
+                }
+            };
+            first += cands.len();
+            i
+        })
+        .collect();
+    Selection {
+        chosen,
+        nodes: solution.nodes,
+        unproven_components: solution.unproven_components,
+        fallback_cells,
+    }
+}
+
+/// Calls `add(a, b)` for every pair of spatially incompatible candidates
+/// of different cells, as flat candidate indices in cell order. A pair
+/// may be reported twice, once per reason.
+///
+/// Two sweeps replace the all-pairs test: candidates that move a common
+/// cell are grouped by that cell, and footprint overlaps are only tested
+/// between candidates whose claimed-rect bounding boxes overlap, found by
+/// scanning candidates in order of their boxes' low x.
+fn for_each_conflict(
+    design: &Design,
+    per_cell: &[Vec<Candidate>],
+    mut add: impl FnMut(usize, usize),
+) {
+    let mut group = Vec::new();
+    let mut rects = Vec::new();
+    let mut bbox = Vec::new();
+    let mut movers: Vec<(CellId, usize)> = Vec::new();
     for (g, cands) in per_cell.iter().enumerate() {
-        let mut vars = Vec::with_capacity(cands.len());
-        for (i, cand) in cands.iter().enumerate() {
-            let v = model.add_var(cand.routing_cost);
-            var_origin.push((g, i));
-            vars.push(v);
+        for cand in cands {
+            let claimed = cand.claimed_rects(design);
+            bbox.push(claimed.iter().fold(claimed[0].1, |b, (_, r)| b.union(r)));
+            movers.extend(cand.moved_cells().map(|c| (c, group.len())));
+            rects.push(claimed);
+            group.push(g);
         }
-        groups.push(vars);
     }
 
-    // Spatial conflicts. Candidates of far-apart critical cells cannot
-    // interact; prune pairs by the distance of the critical cells.
-    let window_reach = 2 * (config.n_site * design.site.width + config.n_row * design.site.height);
-    let rects: Vec<Vec<Vec<(crp_netlist::CellId, crp_geom::Rect)>>> = per_cell
-        .iter()
-        .map(|cands| cands.iter().map(|c| c.claimed_rects(design)).collect())
-        .collect();
-    for ga in 0..per_cell.len() {
-        let pa = design.cell(per_cell[ga][0].cell).pos;
-        for gb in (ga + 1)..per_cell.len() {
-            let pb = design.cell(per_cell[gb][0].cell).pos;
-            if pa.manhattan(pb) > window_reach {
-                continue;
-            }
-            for (ia, &va) in groups[ga].iter().enumerate() {
-                for (ib, &vb) in groups[gb].iter().enumerate() {
-                    if conflicts(
-                        &per_cell[ga][ia],
-                        &per_cell[gb][ib],
-                        &rects[ga][ia],
-                        &rects[gb][ib],
-                    ) {
-                        model.add_conflict(va, vb);
-                    }
+    movers.sort_unstable();
+    for run in movers.chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(_, a)) in run.iter().enumerate() {
+            for &(_, b) in &run[i + 1..] {
+                if group[a] != group[b] {
+                    add(a, b);
                 }
             }
         }
     }
 
-    for vars in &groups {
-        model.add_exactly_one(vars.iter().copied());
-    }
-
-    match model.solve(SolveLimits {
-        max_nodes: config.ilp_node_limit,
-    }) {
-        Ok(solution) => {
-            let mut chosen = vec![0usize; per_cell.len()];
-            for &v in &solution.chosen {
-                let (g, i) = var_origin[v.0 as usize];
-                chosen[g] = i;
+    let mut order: Vec<usize> = (0..group.len()).collect();
+    order.sort_unstable_by_key(|&v| (bbox[v].lo.x, v));
+    for (i, &a) in order.iter().enumerate() {
+        for &b in &order[i + 1..] {
+            if bbox[b].lo.x >= bbox[a].hi.x {
+                break;
             }
-            chosen
-        }
-        Err(_) => {
-            // All-stay fallback: index of the stay candidate per group.
-            per_cell
-                .iter()
-                .map(|cands| cands.iter().position(|c| c.is_stay(design)).unwrap_or(0))
-                .collect()
+            if group[a] != group[b]
+                && bbox[a].intersects(&bbox[b])
+                && footprints_overlap(&rects[a], &rects[b])
+            {
+                add(a, b);
+            }
         }
     }
 }
 
-/// Whether two candidates from different groups cannot both be applied.
-fn conflicts(
-    a: &Candidate,
-    b: &Candidate,
-    rects_a: &[(crp_netlist::CellId, crp_geom::Rect)],
-    rects_b: &[(crp_netlist::CellId, crp_geom::Rect)],
-) -> bool {
-    // Same cell moved by both.
-    for ca in a.moved_cells() {
-        if b.moved_cells().any(|cb| cb == ca) {
-            return true;
-        }
-    }
-    // Overlapping claimed footprints.
-    for (_, ra) in rects_a {
-        for (_, rb) in rects_b {
-            if ra.intersects(rb) {
-                return true;
-            }
-        }
-    }
-    false
+/// Whether any claimed footprint of one candidate overlaps one of the
+/// other's.
+fn footprints_overlap(a: &[(CellId, Rect)], b: &[(CellId, Rect)]) -> bool {
+    a.iter()
+        .any(|(_, ra)| b.iter().any(|(_, rb)| ra.intersects(rb)))
 }
 
 #[cfg(test)]
@@ -161,7 +197,7 @@ mod tests {
             vec![stay0, cand(&d, cells[0], Point::new(800, 0), 3.0)],
             vec![stay1, cand(&d, cells[1], Point::new(4800, 0), 4.0)],
         ];
-        let chosen = select_candidates(&d, &per_cell, &CrpConfig::default());
+        let chosen = select_candidates(&d, &per_cell, &CrpConfig::default()).chosen;
         assert_eq!(chosen, vec![1, 1]);
     }
 
@@ -177,7 +213,7 @@ mod tests {
             vec![stay0, cand(&d, cells[0], same_spot, 1.0)],
             vec![stay1, cand(&d, cells[1], same_spot, 2.0)],
         ];
-        let chosen = select_candidates(&d, &per_cell, &CrpConfig::default());
+        let chosen = select_candidates(&d, &per_cell, &CrpConfig::default()).chosen;
         // Best feasible: u0 to the spot (1.0), u1 stays (10.0) = 11 vs 12.
         assert_eq!(chosen, vec![1, 0]);
     }
@@ -195,7 +231,7 @@ mod tests {
         stay1.routing_cost = 2.0;
         b.routing_cost = 1.0;
         let per_cell = vec![vec![stay0, a], vec![stay1, b]];
-        let chosen = select_candidates(&d, &per_cell, &CrpConfig::default());
+        let chosen = select_candidates(&d, &per_cell, &CrpConfig::default()).chosen;
         // Candidate a moves u1, candidate b IS u1 moving: both moving u1 is
         // forbidden, so at most one non-stay is selected.
         assert!(chosen != vec![1, 1]);
@@ -204,20 +240,165 @@ mod tests {
     #[test]
     fn all_stay_fallback_on_node_limit() {
         let (d, cells) = design();
-        // Node limit 0 forces the fallback immediately.
+        // Node limit 0 aborts any search before its first node; a
+        // conflict-free cell is solved without one.
         let cfg = CrpConfig {
             ilp_node_limit: 0,
             ..CrpConfig::default()
         };
-        let stay0 = Candidate::stay(&d, cells[0]);
+        let mut stay0 = Candidate::stay(&d, cells[0]);
+        stay0.routing_cost = 5.0;
         let per_cell = vec![vec![cand(&d, cells[0], Point::new(800, 0), 1.0), stay0]];
-        let chosen = select_candidates(&d, &per_cell, &cfg);
-        assert_eq!(chosen, vec![1], "must fall back to the stay candidate");
+        let sel = select_candidates(&d, &per_cell, &cfg);
+        assert_eq!(sel.chosen, vec![0]);
+        assert_eq!((sel.unproven_components, sel.fallback_cells), (0, 0));
+
+        let (d, cells) = design();
+        let mut stays: Vec<Candidate> = cells.iter().map(|&c| Candidate::stay(&d, c)).collect();
+        for s in &mut stays {
+            s.routing_cost = 5.0;
+        }
+        let spot = Point::new(2000, 0);
+        let per_cell = vec![
+            vec![cand(&d, cells[0], spot, 1.0), stays[0].clone()],
+            vec![cand(&d, cells[1], spot, 1.0), stays[1].clone()],
+        ];
+        let sel = select_candidates(&d, &per_cell, &cfg);
+        assert_eq!(
+            sel.chosen,
+            vec![1, 1],
+            "must fall back to the stay candidates"
+        );
+        assert_eq!((sel.unproven_components, sel.fallback_cells), (1, 2));
+    }
+
+    #[test]
+    fn exhausted_component_does_not_discard_solved_ones() {
+        let mut b = DesignBuilder::new("sel", 1000);
+        b.site(200, 2000);
+        let m = b.add_macro(MacroCell::new("M", 400, 2000));
+        b.add_rows(4, 80, Point::new(0, 0));
+        let cells: Vec<CellId> = [0, 2000, 8000, 10000]
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| b.add_cell(format!("u{i}"), m, Point::new(x, 0)))
+            .collect();
+        let d = b.build();
+        let stay = |c: CellId| {
+            let mut s = Candidate::stay(&d, c);
+            s.routing_cost = 10.0;
+            s
+        };
+        // u0 and u1 both want the same spot: their minima conflict, so
+        // their component needs a branch. u2 and u3 conflict only on a
+        // shared fallback spot, so their minima attain the bound at the
+        // root node.
+        let shared = Point::new(800, 0);
+        let fallback = Point::new(9400, 2000);
+        let per_cell = vec![
+            vec![stay(cells[0]), cand(&d, cells[0], shared, 1.0)],
+            vec![stay(cells[1]), cand(&d, cells[1], shared, 2.0)],
+            vec![
+                stay(cells[2]),
+                cand(&d, cells[2], Point::new(8800, 0), 1.0),
+                cand(&d, cells[2], fallback, 3.0),
+            ],
+            vec![
+                stay(cells[3]),
+                cand(&d, cells[3], Point::new(10800, 0), 1.0),
+                cand(&d, cells[3], fallback, 3.0),
+            ],
+        ];
+        let limited = CrpConfig {
+            ilp_node_limit: 1,
+            ..CrpConfig::default()
+        };
+        let sel = select_candidates(&d, &per_cell, &limited);
+        assert_eq!(sel.chosen, vec![0, 0, 1, 1]);
+        assert_eq!((sel.unproven_components, sel.fallback_cells), (1, 2));
+
+        let sel = select_candidates(&d, &per_cell, &CrpConfig::default());
+        assert_eq!(sel.chosen, vec![1, 0, 1, 1]);
+        assert_eq!((sel.unproven_components, sel.fallback_cells), (0, 0));
     }
 
     #[test]
     fn empty_input_is_empty_output() {
         let (d, _) = design();
-        assert!(select_candidates(&d, &[], &CrpConfig::default()).is_empty());
+        let sel = select_candidates(&d, &[], &CrpConfig::default());
+        assert!(sel.chosen.is_empty());
+        assert_eq!(sel.nodes, 0);
+    }
+
+    /// The all-pairs conflict builder the sweep replaced, pruned by the
+    /// distance of the critical cells, kept as the sweep's oracle.
+    fn conflict_pairs_pairwise(
+        design: &Design,
+        per_cell: &[Vec<Candidate>],
+        config: &CrpConfig,
+    ) -> Vec<(usize, usize)> {
+        let window_reach =
+            2 * (config.n_site * design.site.width + config.n_row * design.site.height);
+        let first: Vec<usize> = per_cell
+            .iter()
+            .scan(0, |n, c| {
+                *n += c.len();
+                Some(*n - c.len())
+            })
+            .collect();
+        let rects: Vec<Vec<Vec<(CellId, Rect)>>> = per_cell
+            .iter()
+            .map(|cands| cands.iter().map(|c| c.claimed_rects(design)).collect())
+            .collect();
+        let mut pairs = Vec::new();
+        for ga in 0..per_cell.len() {
+            let pa = design.cell(per_cell[ga][0].cell).pos;
+            for gb in (ga + 1)..per_cell.len() {
+                let pb = design.cell(per_cell[gb][0].cell).pos;
+                if pa.manhattan(pb) > window_reach {
+                    continue;
+                }
+                for (ia, a) in per_cell[ga].iter().enumerate() {
+                    for (ib, b) in per_cell[gb].iter().enumerate() {
+                        let shared = a.moved_cells().any(|ca| b.moved_cells().any(|cb| cb == ca));
+                        if shared || footprints_overlap(&rects[ga][ia], &rects[gb][ib]) {
+                            pairs.push((first[ga] + ia, first[gb] + ib));
+                        }
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn sweep_conflicts_match_the_pairwise_builder() {
+        let cfg = CrpConfig::default();
+        for (profile, scale) in [(6, 400.0), (0, 200.0)] {
+            let d = crp_workload::ispd18_profiles()[profile]
+                .scaled(scale)
+                .generate();
+            let legalizer = crate::legalizer::Legalizer::new(&d, &cfg);
+            let per_cell: Vec<Vec<Candidate>> = d
+                .cells()
+                .filter(|(_, c)| !c.fixed)
+                .take(300)
+                .map(|(id, _)| {
+                    let mut cands = vec![Candidate::stay(&d, id)];
+                    cands.extend(legalizer.candidates_for(id));
+                    cands
+                })
+                .collect();
+            let mut sweep = Vec::new();
+            for_each_conflict(&d, &per_cell, |a, b| sweep.push((a.min(b), a.max(b))));
+            sweep.sort_unstable();
+            sweep.dedup();
+            assert!(
+                sweep.len() > per_cell.len(),
+                "fixture has too few conflicts"
+            );
+            assert_eq!(sweep, conflict_pairs_pairwise(&d, &per_cell, &cfg));
+        }
     }
 }

@@ -12,11 +12,11 @@
 //! Both are *partitioned selection problems*: binary variables partition
 //! into groups with an exactly-one constraint per group, plus pairwise
 //! conflicts. [`Model`] expresses exactly that, and [`Model::solve`] runs a
-//! depth-first branch-and-bound with conflict propagation and a
-//! sum-of-group-minima lower bound. Instances are small by construction
-//! (the paper uses 3-cell windows of 20 × 5 slots), so the exact optimum is
-//! found quickly; a node limit turns the solver into an anytime heuristic
-//! and reproduces the scalability cliff of the median-move baseline.
+//! depth-first branch-and-bound per conflict component, with conflict
+//! propagation, a sum-of-group-minima lower bound, and branching only on
+//! groups whose minima conflict. Each component has its own node limit;
+//! at the limit it keeps its best incumbent, so the solver degrades into
+//! an anytime heuristic one component at a time.
 //!
 //! # Examples
 //!
@@ -33,7 +33,7 @@
 //! m.add_conflict(a0, b0);
 //! let sol = m.solve(SolveLimits::default())?;
 //! assert_eq!(sol.objective, 4.0); // a0 + b1
-//! assert!(sol.proven_optimal);
+//! assert!(sol.proven_optimal());
 //! # Ok::<(), crp_ilp::SolveError>(())
 //! ```
 
@@ -67,7 +67,8 @@ pub struct Model {
 /// Limits applied to a [`Model::solve`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveLimits {
-    /// Maximum branch-and-bound nodes to explore before giving up.
+    /// Maximum branch-and-bound nodes to explore in each conflict
+    /// component before settling for its best incumbent.
     pub max_nodes: u64,
 }
 
@@ -82,21 +83,31 @@ impl Default for SolveLimits {
 /// The outcome of a successful solve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Solution {
-    /// The selected variable of each group, in group order.
-    pub chosen: Vec<VarId>,
-    /// Objective value of the selection.
+    /// The selected variable of each group, in group order. `None` marks
+    /// a group whose conflict component hit the node limit before any
+    /// feasible assignment was found.
+    pub chosen: Vec<Option<VarId>>,
+    /// The costs of the selected variables, summed in group order.
     pub objective: f64,
-    /// Branch-and-bound nodes explored.
+    /// Branch-and-bound nodes explored, over all components.
     pub nodes: u64,
-    /// Whether the solution is a proven optimum (node limit not hit).
-    pub proven_optimal: bool,
+    /// Conflict components whose search hit the node limit; each keeps
+    /// its best incumbent, if it found one.
+    pub unproven_components: usize,
 }
 
 impl Solution {
+    /// Whether every component was searched to completion, making the
+    /// selection a proven optimum.
+    #[must_use]
+    pub fn proven_optimal(&self) -> bool {
+        self.unproven_components == 0
+    }
+
     /// Whether `var` is selected.
     #[must_use]
     pub fn is_chosen(&self, var: VarId) -> bool {
-        self.chosen.contains(&var)
+        self.chosen.contains(&Some(var))
     }
 }
 
@@ -105,11 +116,6 @@ impl Solution {
 pub enum SolveError {
     /// The constraints admit no assignment.
     Infeasible,
-    /// The node limit was reached before any feasible solution was found.
-    NodeLimit {
-        /// Nodes explored before aborting.
-        nodes: u64,
-    },
     /// A variable does not belong to any exactly-one group.
     UngroupedVariable {
         /// The offending variable.
@@ -121,12 +127,6 @@ impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolveError::Infeasible => f.write_str("model is infeasible"),
-            SolveError::NodeLimit { nodes } => {
-                write!(
-                    f,
-                    "node limit reached after {nodes} nodes with no incumbent"
-                )
-            }
             SolveError::UngroupedVariable { var } => {
                 write!(f, "variable {} belongs to no exactly-one group", var.0)
             }
@@ -205,14 +205,15 @@ impl Model {
         self.costs[var.index()]
     }
 
-    /// Solves the model to optimality (or best incumbent under the node
-    /// limit).
+    /// Solves the model to optimality, conflict component by conflict
+    /// component. A component that exhausts its node budget keeps its
+    /// best incumbent, or leaves its groups `None` if it found none; see
+    /// [`Solution::unproven_components`].
     ///
     /// # Errors
     ///
     /// - [`SolveError::UngroupedVariable`] if any variable is in no group;
-    /// - [`SolveError::Infeasible`] if the conflicts admit no assignment;
-    /// - [`SolveError::NodeLimit`] if the limit is hit with no incumbent.
+    /// - [`SolveError::Infeasible`] if the conflicts admit no assignment.
     pub fn solve(&self, limits: SolveLimits) -> Result<Solution, SolveError> {
         for (i, g) in self.group_of.iter().enumerate() {
             if g.is_none() {
@@ -228,7 +229,7 @@ impl Model {
                 chosen: Vec::new(),
                 objective: 0.0,
                 nodes: 0,
-                proven_optimal: true,
+                unproven_components: 0,
             });
         }
 
@@ -268,10 +269,13 @@ impl Model {
         let mut component_list: Vec<Vec<usize>> = components.into_values().collect();
         component_list.sort_by_key(|c| c[0]);
 
-        let mut chosen = vec![VarId(0); num_groups];
-        let mut objective = 0.0;
+        // Every variable belongs to exactly one component, and a finished
+        // search leaves `forbidden` all-zero again, so both are shared.
+        let mut local_of = vec![usize::MAX; self.num_vars()];
+        let mut forbidden = vec![0u32; self.num_vars()];
+        let mut chosen = vec![None; num_groups];
         let mut total_nodes = 0u64;
-        let mut proven = true;
+        let mut unproven = 0usize;
 
         for component in component_list {
             if component.len() == 1 && {
@@ -293,14 +297,14 @@ impl Model {
                     // crp-lint: allow(no-panic-paths, add_exactly_one
                     // rejects empty groups, so min_by always sees one var)
                     .expect("groups are non-empty");
-                chosen[g] = best;
-                objective += self.costs[best.index()];
+                chosen[g] = Some(best);
                 continue;
             }
 
-            // Branch-and-bound over this component's groups: cost-sorted
-            // candidates, dynamic fail-first branching, and a matching-
-            // strengthened lower bound (see [`Search`]).
+            // Branch-and-bound over this component's groups with its own
+            // node budget: cost-sorted candidates, conflict-directed
+            // branching, and a matching-strengthened lower bound (see
+            // [`Search`]).
             let sorted_groups: Vec<Vec<VarId>> = component
                 .iter()
                 .map(|&g| {
@@ -309,50 +313,47 @@ impl Model {
                     vars
                 })
                 .collect();
-            // Local group index of every variable in this component.
-            let mut local_of = vec![usize::MAX; self.num_vars()];
             for (local, vars) in sorted_groups.iter().enumerate() {
                 for v in vars {
                     local_of[v.index()] = local;
                 }
             }
-            let budget = limits.max_nodes.saturating_sub(total_nodes);
             let k = sorted_groups.len();
             let mut search = Search {
                 model: self,
                 sorted_groups: &sorted_groups,
                 local_of: &local_of,
-                forbidden: vec![0u32; self.num_vars()],
+                forbidden: &mut forbidden,
                 done: vec![false; k],
                 assigned: vec![VarId(0); k],
                 best: None,
                 best_cost: f64::INFINITY,
                 nodes: 0,
-                max_nodes: budget,
+                max_nodes: limits.max_nodes,
                 aborted: false,
             };
-            search.dfs(0, 0.0);
+            search.dfs(0.0);
             total_nodes += search.nodes;
+            if search.aborted {
+                unproven += 1;
+            }
             match search.best {
                 Some(component_chosen) => {
                     for (local, &var) in component_chosen.iter().enumerate() {
-                        chosen[component[local]] = var;
-                    }
-                    objective += search.best_cost;
-                    if search.aborted {
-                        proven = false;
+                        chosen[component[local]] = Some(var);
                     }
                 }
-                None if search.aborted => return Err(SolveError::NodeLimit { nodes: total_nodes }),
+                // No incumbent within the budget: the groups stay `None`.
+                None if search.aborted => {}
                 None => return Err(SolveError::Infeasible),
             }
         }
 
         Ok(Solution {
+            objective: sum_ordered(chosen.iter().flatten().map(|v| self.costs[v.index()])),
             chosen,
-            objective,
             nodes: total_nodes,
-            proven_optimal: proven,
+            unproven_components: unproven,
         })
     }
 
@@ -377,7 +378,7 @@ impl Model {
                 chosen: vec![],
                 objective: 0.0,
                 nodes: 0,
-                proven_optimal: true,
+                unproven_components: 0,
             });
         }
         'outer: loop {
@@ -412,10 +413,10 @@ impl Model {
         }
         match best {
             Some((chosen, objective)) => Ok(Solution {
-                chosen,
+                chosen: chosen.into_iter().map(Some).collect(),
                 objective,
                 nodes: 0,
-                proven_optimal: true,
+                unproven_components: 0,
             }),
             None => Err(SolveError::Infeasible),
         }
@@ -424,26 +425,32 @@ impl Model {
 
 /// Per-component branch-and-bound.
 ///
-/// Three devices keep the search polynomial on the sparse instances the
+/// Four devices keep the search polynomial on the sparse instances the
 /// CR&P flow produces and merely *slow* (instead of wrong) on dense ones:
 ///
 /// 1. **cost-sorted candidates** — the first selectable variable of a
 ///    group is its cheapest, so per-group minima are O(scan);
-/// 2. **fail-first dynamic branching** — the group with the fewest
-///    selectable variables is branched next;
-/// 3. **matching-strengthened bound** — beyond the classic sum of group
+/// 2. **matching-strengthened bound** — beyond the classic sum of group
 ///    minima, every disjoint pair of groups whose *minima conflict* must
 ///    pay at least the smaller of the two groups' regrets (second-best
 ///    minus best); a greedy matching over such pairs is a valid additive
 ///    lower bound and prunes the equal-cost plateaus that blow up the
-///    naive bound.
+///    naive bound;
+/// 3. **conflict-directed branching** — only a *hot* group, one whose
+///    minimum conflicts with another undone group's minimum, is branched
+///    on, fail-first (fewest selectable variables, then largest regret,
+///    then lowest index). Any branching group is exact, and groups whose
+///    minimum is already compatible cannot raise the bound;
+/// 4. **attained-bound leaf** — with no hot group left the remaining
+///    minima are pairwise compatible, so the sum-of-minima bound is a
+///    feasible completion: it is recorded and the subtree is closed.
 struct Search<'a> {
     model: &'a Model,
     sorted_groups: &'a [Vec<VarId>],
-    /// Local (component) group index per variable, `usize::MAX` outside.
+    /// Local (component) group index per variable of this component.
     local_of: &'a [usize],
     /// Count of chosen conflicting variables per var (0 = selectable).
-    forbidden: Vec<u32>,
+    forbidden: &'a mut [u32],
     done: Vec<bool>,
     assigned: Vec<VarId>,
     best: Option<Vec<VarId>>,
@@ -499,9 +506,9 @@ impl Search<'_> {
     }
 
     /// The matching-strengthened lower bound over `states` (see type
-    /// docs). Returns `None` when two single-option groups conflict — a
-    /// guaranteed dead end.
-    fn bound_extra(&self, states: &[GroupState]) -> Option<f64> {
+    /// docs), plus the hot flag of every state. Returns `None` when two
+    /// single-option groups conflict — a guaranteed dead end.
+    fn bound_extra(&self, states: &[GroupState]) -> Option<(f64, Vec<bool>)> {
         // Map group -> position in `states` for minima-conflict lookups.
         let mut pos_of = vec![usize::MAX; self.sorted_groups.len()];
         for (i, s) in states.iter().enumerate() {
@@ -509,19 +516,18 @@ impl Search<'_> {
         }
         // Candidate pairs: minima that conflict.
         let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
+        let mut hot = vec![false; states.len()];
         for (i, s) in states.iter().enumerate() {
             for c in &self.model.conflicts[s.min_var.index()] {
-                let lg = self.local_of[c.index()];
-                if lg == usize::MAX {
-                    continue;
-                }
-                let j = pos_of[lg];
+                let j = pos_of[self.local_of[c.index()]];
                 if j == usize::MAX || j <= i {
                     continue;
                 }
                 if states[j].min_var != *c {
                     continue;
                 }
+                hot[i] = true;
+                hot[j] = true;
                 let w = states[i].regret.min(states[j].regret);
                 if w.is_infinite() {
                     return None; // two forced minima conflict: dead end
@@ -542,10 +548,10 @@ impl Search<'_> {
                 extra += w;
             }
         }
-        Some(extra)
+        Some((extra, hot))
     }
 
-    fn dfs(&mut self, depth: usize, cost_so_far: f64) {
+    fn dfs(&mut self, cost_so_far: f64) {
         if self.aborted {
             return;
         }
@@ -554,38 +560,40 @@ impl Search<'_> {
             self.aborted = true;
             return;
         }
-        if depth == self.sorted_groups.len() {
-            if cost_so_far < self.best_cost {
-                self.best_cost = cost_so_far;
-                self.best = Some(self.assigned.clone());
-            }
-            return;
-        }
         let Some(states) = self.scan() else { return };
         let base: f64 = sum_ordered(states.iter().map(|s| s.min_cost));
         if cost_so_far + base >= self.best_cost {
             return;
         }
-        let Some(extra) = self.bound_extra(&states) else {
+        let Some((extra, hot)) = self.bound_extra(&states) else {
             return;
         };
         if cost_so_far + base + extra >= self.best_cost {
             return;
         }
 
-        // Fail-first: fewest selectable vars; tie-break on largest regret,
-        // then lowest group index for determinism.
-        let pick = states
+        // Fail-first among the hot groups: fewest selectable vars;
+        // tie-break on largest regret, then lowest group index for
+        // determinism. No hot group left: the minima attain the bound.
+        let Some(pick) = states
             .iter()
+            .zip(&hot)
+            .filter_map(|(s, &h)| h.then_some(s))
             .min_by(|a, b| {
                 a.selectable
                     .cmp(&b.selectable)
                     .then(b.regret.total_cmp(&a.regret))
                     .then(a.group.cmp(&b.group))
             })
-            // crp-lint: allow(no-panic-paths, branch() is only called while
-            // an undone group remains, so the state list is non-empty)
-            .expect("states non-empty");
+        else {
+            let mut full = self.assigned.clone();
+            for s in &states {
+                full[s.group] = s.min_var;
+            }
+            self.best_cost = cost_so_far + base;
+            self.best = Some(full);
+            return;
+        };
         let g = pick.group;
         let vars = &self.sorted_groups[g];
 
@@ -603,7 +611,7 @@ impl Search<'_> {
                 self.forbidden[c.index()] += 1;
             }
             self.assigned[g] = var;
-            self.dfs(depth + 1, cost);
+            self.dfs(cost);
             for &c in &self.model.conflicts[var.index()] {
                 self.forbidden[c.index()] -= 1;
             }
@@ -627,7 +635,7 @@ mod tests {
         let m = Model::new();
         let s = m.solve(SolveLimits::default()).unwrap();
         assert_eq!(s.objective, 0.0);
-        assert!(s.proven_optimal);
+        assert!(s.proven_optimal());
     }
 
     #[test]
@@ -636,7 +644,7 @@ mod tests {
         let v: Vec<VarId> = [4.0, 1.0, 3.0].iter().map(|&c| m.add_var(c)).collect();
         m.add_exactly_one(v.clone());
         let s = m.solve(SolveLimits::default()).unwrap();
-        assert_eq!(s.chosen, vec![v[1]]);
+        assert_eq!(s.chosen, vec![Some(v[1])]);
         assert_eq!(s.objective, 1.0);
     }
 
@@ -678,25 +686,70 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn node_limit_reported() {
-        // A chain of conflicting groups forces backtracking; limit of 1
-        // node cannot find any solution.
-        let mut m = Model::new();
-        let mut prev: Option<(VarId, VarId)> = None;
+    /// Eight groups whose minima conflict in a chain: solving needs
+    /// branching, so one node cannot find any assignment.
+    fn conflict_chain(m: &mut Model) {
+        let mut prev: Option<VarId> = None;
         for _ in 0..8 {
             let x = m.add_var(1.0);
             let y = m.add_var(2.0);
             m.add_exactly_one([x, y]);
-            if let Some((px, _)) = prev {
+            if let Some(px) = prev {
                 m.add_conflict(px, x);
             }
-            prev = Some((x, y));
+            prev = Some(x);
         }
-        match m.solve(SolveLimits { max_nodes: 1 }) {
-            Err(SolveError::NodeLimit { nodes }) => assert!(nodes >= 1),
-            other => panic!("expected node limit, got {other:?}"),
-        }
+    }
+
+    #[test]
+    fn node_limit_reported() {
+        let mut m = Model::new();
+        conflict_chain(&mut m);
+        let s = m.solve(SolveLimits { max_nodes: 1 }).unwrap();
+        assert!(s.nodes >= 1);
+        assert!(!s.proven_optimal());
+        assert_eq!(s.unproven_components, 1);
+        assert_eq!(s.chosen, vec![None; 8], "no incumbent within one node");
+        assert_eq!(s.objective, 0.0);
+    }
+
+    #[test]
+    fn each_component_gets_its_own_budget() {
+        // Component 1: two groups whose second-best options conflict, so
+        // the minima attain the bound at the root (one node).
+        let mut m = Model::new();
+        let a = [m.add_var(3.0), m.add_var(4.0)];
+        let b = [m.add_var(5.0), m.add_var(6.0)];
+        m.add_exactly_one(a);
+        m.add_exactly_one(b);
+        m.add_conflict(a[1], b[1]);
+        // Component 2: the chain, which needs more than one node.
+        conflict_chain(&mut m);
+        // Component 3: a conflict-free singleton.
+        let c = m.add_var(0.5);
+        m.add_exactly_one([c]);
+        let s = m.solve(SolveLimits { max_nodes: 1 }).unwrap();
+        assert_eq!(s.unproven_components, 1);
+        assert!(!s.proven_optimal());
+        assert_eq!(&s.chosen[..2], &[Some(a[0]), Some(b[0])]);
+        assert_eq!(&s.chosen[2..10], &[None; 8]);
+        assert_eq!(s.chosen[10], Some(c));
+        assert_eq!(s.objective, 3.0 + 5.0 + 0.5);
+
+        // The same budget is enough for the chain on its own once it may
+        // spend it all: every limit between its first incumbent and its
+        // proof keeps that incumbent.
+        let mut chain = Model::new();
+        conflict_chain(&mut chain);
+        let proof = chain.solve(SolveLimits::default()).unwrap();
+        assert!(proof.proven_optimal());
+        let partial = (1..proof.nodes)
+            .map(|n| chain.solve(SolveLimits { max_nodes: n }).unwrap())
+            .find(|s| s.chosen.iter().all(Option::is_some))
+            .expect("an incumbent before the proof");
+        assert!(!partial.proven_optimal());
+        assert_eq!(partial.unproven_components, 1);
+        assert_conflict_free(&chain, &partial);
     }
 
     #[test]
@@ -712,16 +765,41 @@ mod tests {
     #[test]
     fn error_display() {
         assert_eq!(SolveError::Infeasible.to_string(), "model is infeasible");
-        assert!(SolveError::NodeLimit { nodes: 7 }.to_string().contains('7'));
+        assert!(SolveError::UngroupedVariable { var: VarId(7) }
+            .to_string()
+            .contains('7'));
+    }
+
+    fn assert_conflict_free(m: &Model, s: &Solution) {
+        assert_eq!(s.chosen.len(), m.num_groups());
+        let chosen: Vec<VarId> = s.chosen.iter().flatten().copied().collect();
+        for (i, a) in chosen.iter().enumerate() {
+            for b in &chosen[i + 1..] {
+                assert!(
+                    !m.conflicts[a.index()].contains(b),
+                    "conflicting pair chosen"
+                );
+            }
+        }
     }
 
     fn random_model(rng: &mut StdRng, groups: usize, vars_per: usize, conflicts: usize) -> Model {
+        random_model_with(rng, groups, vars_per, conflicts, |rng| {
+            rng.gen_range(0..100) as f64
+        })
+    }
+
+    fn random_model_with(
+        rng: &mut StdRng,
+        groups: usize,
+        vars_per: usize,
+        conflicts: usize,
+        mut cost: impl FnMut(&mut StdRng) -> f64,
+    ) -> Model {
         let mut m = Model::new();
         let mut all = Vec::new();
         for _ in 0..groups {
-            let vs: Vec<VarId> = (0..vars_per)
-                .map(|_| m.add_var(rng.gen_range(0..100) as f64))
-                .collect();
+            let vs: Vec<VarId> = (0..vars_per).map(|_| m.add_var(cost(rng))).collect();
             all.extend(vs.iter().copied());
             m.add_exactly_one(vs);
         }
@@ -731,6 +809,25 @@ mod tests {
             m.add_conflict(a, b);
         }
         m
+    }
+
+    /// Adds `pairs` conflicts between the cheapest variables of random
+    /// group pairs, the shape that makes the sum-of-minima bound loose.
+    fn plant_conflicting_minima(m: &mut Model, rng: &mut StdRng, pairs: usize) {
+        let minima: Vec<VarId> = m
+            .groups
+            .iter()
+            .map(|g| {
+                *g.iter()
+                    .min_by(|a, b| m.costs[a.index()].total_cmp(&m.costs[b.index()]))
+                    .unwrap()
+            })
+            .collect();
+        for _ in 0..pairs {
+            let a = minima[rng.gen_range(0..minima.len())];
+            let b = minima[rng.gen_range(0..minima.len())];
+            m.add_conflict(a, b);
+        }
     }
 
     #[test]
@@ -746,7 +843,7 @@ mod tests {
                         a.objective, b.objective,
                         "trial {trial}: objective mismatch"
                     );
-                    assert!(a.proven_optimal);
+                    assert!(a.proven_optimal());
                 }
                 (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
                 (a, b) => panic!("trial {trial}: disagreement {a:?} vs {b:?}"),
@@ -772,7 +869,11 @@ mod tests {
             prev_min = Some(a);
         }
         let s = m.solve(SolveLimits { max_nodes: 200_000 }).unwrap();
-        assert!(s.proven_optimal, "explored {} nodes without proof", s.nodes);
+        assert!(
+            s.proven_optimal(),
+            "explored {} nodes without proof",
+            s.nodes
+        );
         // Alternating chain: half the groups pay the +2 regret.
         assert!(s.objective > 0.0);
     }
@@ -802,7 +903,61 @@ mod tests {
         let bb = m.solve(SolveLimits::default()).unwrap();
         let ex = m.solve_exhaustive().unwrap();
         assert_eq!(bb.objective, ex.objective);
-        assert!(bb.proven_optimal);
+        assert!(bb.proven_optimal());
+    }
+
+    #[test]
+    fn plateau_with_conflicting_minima_proves_in_few_nodes() {
+        // Shaped like a measured Eq. 12 component: 300 groups joined into
+        // one component by conflicts between their priciest options, a
+        // quarter of them on a plateau of regret exactly 1.0, and two hub
+        // groups whose minima conflict with three groups' minima each.
+        // The hubs' 12.0 regret exceeds their three neighbours' 3 × 3.5,
+        // so the optimum leaves the hubs at their minima and moves the
+        // neighbours, 14.0 above the matching bound's 2 × 3.5. Branching
+        // on the plateau cannot close that gap.
+        let hubs = [0usize, 100];
+        let spokes = [2usize, 3, 4, 102, 103, 104];
+        let mut m = Model::new();
+        let mut groups: Vec<Vec<VarId>> = Vec::new();
+        for g in 0..300usize {
+            let c = 10.0 + ((g * 37) % 101) as f64 * 0.37;
+            let regrets: &[f64] = if hubs.contains(&g) {
+                &[12.0, 40.0]
+            } else if g % 4 == 1 {
+                &[1.0]
+            } else {
+                &[3.5, 40.0]
+            };
+            let vars: Vec<VarId> = std::iter::once(c)
+                .chain(regrets.iter().map(|r| c + r))
+                .map(|x| m.add_var(x))
+                .collect();
+            m.add_exactly_one(vars.iter().copied());
+            groups.push(vars);
+        }
+        for w in groups.windows(2) {
+            m.add_conflict(*w[0].last().unwrap(), *w[1].last().unwrap());
+        }
+        for (h, star) in hubs.iter().zip(spokes.chunks(3)) {
+            for &sp in star {
+                m.add_conflict(groups[*h][0], groups[sp][0]);
+            }
+        }
+        let s = m.solve(SolveLimits { max_nodes: 1_000 }).unwrap();
+        assert!(
+            s.proven_optimal(),
+            "explored {} nodes without proof",
+            s.nodes
+        );
+        let expected: Vec<Option<VarId>> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, vars)| Some(vars[usize::from(spokes.contains(&g))]))
+            .collect();
+        assert_eq!(s.chosen, expected);
+        let objective = sum_ordered(expected.iter().flatten().map(|&v| m.cost(v)));
+        assert_eq!(s.objective.to_bits(), objective.to_bits());
     }
 
     proptest! {
@@ -813,11 +968,24 @@ mod tests {
             groups in 1usize..5,
             vars_per in 1usize..4,
             conflicts in 0usize..8,
+            planted in 0usize..4,
+            fractional in 0u8..2,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let m = random_model(&mut rng, groups, vars_per, conflicts);
+            let mut m = if fractional == 1 {
+                random_model_with(&mut rng, groups, vars_per, conflicts, |rng| {
+                    rng.gen_range(0.0..100.0)
+                })
+            } else {
+                random_model(&mut rng, groups, vars_per, conflicts)
+            };
+            plant_conflicting_minima(&mut m, &mut rng, planted);
             match (m.solve(SolveLimits::default()), m.solve_exhaustive()) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a.objective, b.objective),
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+                    prop_assert!(a.proven_optimal());
+                    assert_conflict_free(&m, &a);
+                }
                 (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
                 (a, b) => prop_assert!(false, "disagreement {:?} vs {:?}", a, b),
             }
@@ -830,15 +998,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = random_model(&mut rng, 5, 3, 5);
             if let Ok(s) = m.solve(SolveLimits::default()) {
-                prop_assert_eq!(s.chosen.len(), m.num_groups());
-                for i in 0..s.chosen.len() {
-                    for j in (i + 1)..s.chosen.len() {
-                        let a = s.chosen[i];
-                        let b = s.chosen[j];
-                        prop_assert!(!m.conflicts[a.index()].contains(&b),
-                            "conflicting pair chosen");
-                    }
-                }
+                assert_conflict_free(&m, &s);
             }
         }
     }

@@ -449,10 +449,21 @@ pub fn report_to_json(r: &IterationReport) -> Json {
         ("rerouted_nets", Json::Int(r.rerouted_nets as i128)),
         ("cost_before", Json::Float(r.cost_before)),
         ("cost_after", Json::Float(r.cost_after)),
+        ("select_nodes", Json::Int(i128::from(r.select_nodes))),
+        (
+            "select_unproven_components",
+            Json::Int(r.select_unproven_components as i128),
+        ),
+        (
+            "select_fallback_cells",
+            Json::Int(r.select_fallback_cells as i128),
+        ),
     ])
 }
 
-/// Parses an [`IterationReport`].
+/// Parses an [`IterationReport`]. The selection counters were added
+/// later: a report without them reads them as 0, so older data
+/// directories still resume.
 ///
 /// # Errors
 ///
@@ -466,6 +477,9 @@ pub fn report_from_json(v: &Json) -> Result<IterationReport, ServeError> {
         rerouted_nets: req_usize(v, "rerouted_nets")?,
         cost_before: req_f64(v, "cost_before")?,
         cost_after: req_f64(v, "cost_after")?,
+        select_nodes: or_zero(v, "select_nodes", req_u64)?,
+        select_unproven_components: or_zero(v, "select_unproven_components", req_usize)?,
+        select_fallback_cells: or_zero(v, "select_fallback_cells", req_usize)?,
     })
 }
 
@@ -506,6 +520,18 @@ fn req_u64(v: &Json, key: &str) -> Result<u64, ServeError> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| ServeError::new(format!("missing integer `{key}`")))
+}
+
+/// Reads an optional counter with `req`: absent means 0.
+fn or_zero<T: Default>(
+    v: &Json,
+    key: &str,
+    req: fn(&Json, &str) -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    if v.get(key).is_none() {
+        return Ok(T::default());
+    }
+    req(v, key)
 }
 
 fn req_usize(v: &Json, key: &str) -> Result<usize, ServeError> {
@@ -593,6 +619,31 @@ mod tests {
         let mut router = GlobalRouter::new(RouterConfig::default());
         let routing = router.route_all(&design, &mut grid);
         (design, grid, router, routing)
+    }
+
+    #[test]
+    fn report_without_selection_counters_reads_them_as_zero() {
+        // A report as written before the selection counters existed.
+        let old = r#"{"iteration": 2, "critical_cells": 40, "candidates": 310,
+            "moved_cells": 0, "rerouted_nets": 0,
+            "cost_before": 1234.5, "cost_after": 1234.5}"#;
+        let r = report_from_json(&parse(old).unwrap()).unwrap();
+        assert_eq!((r.iteration, r.critical_cells, r.candidates), (2, 40, 310));
+        assert_eq!(r.cost_after, 1234.5);
+        assert_eq!(
+            (
+                r.select_nodes,
+                r.select_unproven_components,
+                r.select_fallback_cells
+            ),
+            (0, 0, 0)
+        );
+        // Present but mistyped is still an error.
+        let bad = old.replace(
+            "\"iteration\": 2",
+            "\"iteration\": 2, \"select_nodes\": \"x\"",
+        );
+        assert!(report_from_json(&parse(&bad).unwrap()).is_err());
     }
 
     #[test]

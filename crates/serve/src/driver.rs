@@ -126,6 +126,9 @@ fn gp_report(stats: &GpIterStats) -> IterationReport {
         rerouted_nets: 0,
         cost_before: stats.wl,
         cost_after: stats.hpwl,
+        select_nodes: 0,
+        select_unproven_components: 0,
+        select_fallback_cells: 0,
     }
 }
 

@@ -62,11 +62,13 @@ proptest! {
             ),
             0..5,
         ),
-        // Per report: five counters plus (cost_before, cost_after) bits.
+        // Per report: five counters, (cost_before, cost_after) bits, and
+        // the three selection counters.
         reports in collection::vec(
             (
                 (0usize..1 << 40, 0usize..1 << 40, 0usize..1 << 40, 0usize..1 << 40, 0usize..1 << 40),
                 (0u64..u64::MAX, 0u64..u64::MAX),
+                (0u64..1 << 50, 0usize..1 << 40, 0usize..1 << 40),
             ),
             0..4,
         ),
@@ -115,7 +117,7 @@ proptest! {
                 .collect(),
             reports: reports
                 .iter()
-                .map(|&((iteration, critical_cells, candidates, moved_cells, rerouted_nets), (b, a))| {
+                .map(|&((iteration, critical_cells, candidates, moved_cells, rerouted_nets), (b, a), (nodes, unproven, fallback))| {
                     IterationReport {
                         iteration,
                         critical_cells,
@@ -124,6 +126,9 @@ proptest! {
                         rerouted_nets,
                         cost_before: finite(b),
                         cost_after: finite(a),
+                        select_nodes: nodes,
+                        select_unproven_components: unproven,
+                        select_fallback_cells: fallback,
                     }
                 })
                 .collect(),

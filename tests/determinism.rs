@@ -58,7 +58,7 @@ fn estimate_pass(threads: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
         })
         .collect();
     estimate_candidates(&design, &grid, &routing, &mut per_cell, &cfg);
-    let chosen = select_candidates(&design, &per_cell, &cfg);
+    let chosen = select_candidates(&design, &per_cell, &cfg).chosen;
     let costs = per_cell
         .iter()
         .map(|cands| cands.iter().map(|c| c.routing_cost).collect())
