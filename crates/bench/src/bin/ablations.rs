@@ -11,7 +11,7 @@
 //! cargo run -p crp-bench --bin ablations --release
 //! ```
 
-use crp_bench::{default_scale, FlowRunner};
+use crp_bench::{default_scale, FlowRunner, Optimizer, Start};
 use crp_drouter::Score;
 use crp_workload::ispd18_profiles;
 
@@ -22,11 +22,12 @@ fn main() {
     let k = 5;
     println!("Ablations on {} (k = {k}, scale 1/{scale})", profile.name);
 
-    let base_runner = FlowRunner::default();
-    let baseline = base_runner.run_baseline(&profile);
-    let reference = base_runner.run_crp(&profile, k);
+    let baseline = FlowRunner::default().run(&profile, Start::Generator, Optimizer::Baseline);
     let pct = Score::improvement_pct;
-    let report = |label: &str, r: &crp_bench::FlowResult| {
+    // Runs CR&P k with `runner`'s configuration and prints it against the
+    // baseline.
+    let report = |label: &str, runner: &FlowRunner| {
+        let r = runner.run(&profile, Start::Generator, Optimizer::Crp(k));
         println!(
             "{label:<38} WL {:+.2}%  vias {:+.2}%  DRVs {}  ({:.2}s)",
             pct(
@@ -38,23 +39,23 @@ fn main() {
             r.total_time().as_secs_f64(),
         );
     };
-    report("CR&P (paper configuration)", &reference);
+    report("CR&P (paper configuration)", &FlowRunner::default());
 
     // (a) congestion-blind pricing — the [18]-style cost model.
     let mut runner = FlowRunner::default();
     runner.crp.congestion_aware = false;
-    report("  - congestion penalty off", &runner.run_crp(&profile, k));
+    report("  - congestion penalty off", &runner);
 
     // (b) no prioritization — cells visited in id order.
     let mut runner = FlowRunner::default();
     runner.crp.prioritize = false;
-    report("  - prioritization off", &runner.run_crp(&profile, k));
+    report("  - prioritization off", &runner);
 
     // (c) γ sweep.
     for gamma in [0.2, 0.4, 0.6, 0.8] {
         let mut runner = FlowRunner::default();
         runner.crp.gamma = gamma;
-        report(&format!("  gamma = {gamma}"), &runner.run_crp(&profile, k));
+        report(&format!("  gamma = {gamma}"), &runner);
     }
 
     // (d) legalizer window sweep.
@@ -64,7 +65,7 @@ fn main() {
         runner.crp.n_row = n_row;
         report(
             &format!("  window = {n_site} sites x {n_row} rows"),
-            &runner.run_crp(&profile, k),
+            &runner,
         );
     }
 
@@ -72,18 +73,12 @@ fn main() {
     for slope in [0.25, 1.0, 4.0] {
         let mut runner = FlowRunner::default();
         runner.grid.slope = slope;
-        report(
-            &format!("  slope S = {slope}"),
-            &runner.run_crp(&profile, k),
-        );
+        report(&format!("  slope S = {slope}"), &runner);
     }
 
     // (f) DP layer assignment in the global router (CUGR-style tree DP vs
     // the default greedy per-segment assignment).
     let mut runner = FlowRunner::default();
     runner.router.layer_dp = true;
-    report(
-        "  router layer assignment = DP",
-        &runner.run_crp(&profile, k),
-    );
+    report("  router layer assignment = DP", &runner);
 }

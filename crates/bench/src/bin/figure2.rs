@@ -5,7 +5,7 @@
 //! cargo run -p crp-bench --bin figure2 --release
 //! ```
 
-use crp_bench::{default_scale, FlowOutcome, FlowRunner};
+use crp_bench::{default_scale, FlowOutcome, FlowRunner, Optimizer, Start};
 use crp_workload::ispd18_profiles;
 
 fn main() {
@@ -18,10 +18,10 @@ fn main() {
     );
     for profile in ispd18_profiles() {
         let p = profile.scaled(scale);
-        let baseline = runner.run_baseline(&p);
-        let median = runner.run_median(&p);
-        let k1 = runner.run_crp(&p, 1);
-        let k10 = runner.run_crp(&p, 10);
+        let baseline = runner.run(&p, Start::Generator, Optimizer::Baseline);
+        let median = runner.run(&p, Start::Generator, Optimizer::Median);
+        let k1 = runner.run(&p, Start::Generator, Optimizer::Crp(1));
+        let k10 = runner.run(&p, Start::Generator, Optimizer::Crp(10));
         let secs = |d: std::time::Duration| format!("{:.3}", d.as_secs_f64());
         println!(
             "{:<15} {:>10} {:>10} {:>10} {:>10}",

@@ -7,7 +7,7 @@
 //! cargo run -p crp-bench --bin figure3 --release
 //! ```
 
-use crp_bench::{default_scale, FlowRunner};
+use crp_bench::{default_scale, FlowRunner, Optimizer, Start};
 use crp_workload::ispd18_profiles;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     );
     for profile in ispd18_profiles() {
         let p = profile.scaled(scale);
-        let r = runner.run_crp(&p, 10);
+        let r = runner.run(&p, Start::Generator, Optimizer::Crp(10));
         let stages = r.stages.expect("crp flow always has stage timers");
         let total = r.total_time().as_secs_f64();
         let pct = |d: std::time::Duration| d.as_secs_f64() / total * 100.0;

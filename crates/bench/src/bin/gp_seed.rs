@@ -10,7 +10,7 @@
 //!
 //! Set `CRP_SCALE` to change the benchmark scale (default 100).
 
-use crp_bench::{default_scale, records_to_json, FlowRecord, FlowRunner};
+use crp_bench::{default_scale, records_to_json, FlowRecord, FlowRunner, Optimizer, Start};
 use crp_gp::GpConfig;
 use crp_workload::netlist_only_profiles;
 
@@ -47,11 +47,15 @@ fn main() {
     for profile in netlist_only_profiles() {
         let p = profile.scaled(scale);
         let rows = [
-            ("generator", runner.run_baseline(&p), runner.run_crp(&p, 10)),
+            (
+                "generator",
+                runner.run(&p, Start::Generator, Optimizer::Baseline),
+                runner.run(&p, Start::Generator, Optimizer::Crp(10)),
+            ),
             (
                 "crp-gp",
-                runner.run_baseline_from_gp(&p, &gp),
-                runner.run_crp_from_gp(&p, 10, &gp),
+                runner.run(&p, Start::Gp(&gp), Optimizer::Baseline),
+                runner.run(&p, Start::Gp(&gp), Optimizer::Crp(10)),
             ),
         ];
         for (seed, base, crp) in rows {

@@ -8,7 +8,9 @@
 //!
 //! Set `CRP_SCALE` to change the benchmark scale (default 100).
 
-use crp_bench::{default_scale, records_to_json, FlowOutcome, FlowRecord, FlowRunner};
+use crp_bench::{
+    default_scale, records_to_json, FlowOutcome, FlowRecord, FlowRunner, Optimizer, Start,
+};
 use crp_drouter::Score;
 use crp_workload::ispd18_profiles;
 
@@ -42,10 +44,10 @@ fn main() {
 
     for profile in ispd18_profiles() {
         let p = profile.scaled(scale);
-        let baseline = runner.run_baseline(&p);
-        let median = runner.run_median(&p);
-        let k1 = runner.run_crp(&p, 1);
-        let k10 = runner.run_crp(&p, 10);
+        let baseline = runner.run(&p, Start::Generator, Optimizer::Baseline);
+        let median = runner.run(&p, Start::Generator, Optimizer::Median);
+        let k1 = runner.run(&p, Start::Generator, Optimizer::Crp(1));
+        let k10 = runner.run(&p, Start::Generator, Optimizer::Crp(10));
         records.extend([&baseline, &median, &k1, &k10].map(FlowRecord::from));
 
         let wl = |s: &Score| s.wirelength_dbu as f64;

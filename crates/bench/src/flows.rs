@@ -3,8 +3,7 @@
 use crp_core::{Crp, CrpConfig, MedianMoveOutcome, MedianMover, MedianMoverConfig, StageTimers};
 use crp_drouter::{evaluate, DetailedResult, DetailedRouter, DrConfig, Score};
 use crp_grid::{GridConfig, RouteGrid};
-use crp_netlist::Design;
-use crp_router::{GlobalRouter, RouterConfig, Routing};
+use crp_router::{GlobalRouter, RouterConfig};
 use crp_workload::Profile;
 use std::time::{Duration, Instant};
 
@@ -62,7 +61,7 @@ impl FlowResult {
     }
 }
 
-/// Drives the four flows on one profile with shared configurations.
+/// Drives the paper's flows on one profile with shared configurations.
 #[derive(Debug, Clone)]
 pub struct FlowRunner {
     /// Grid / cost-model configuration.
@@ -96,168 +95,95 @@ impl Default for FlowRunner {
     }
 }
 
+/// Where a flow's placement comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// The profile generator's own placement.
+    Generator,
+    /// The generator's placement stripped and rebuilt from the netlist
+    /// alone by `crp-gp` (electrostatic global placement + Abacus
+    /// legalization) — the netlist-only cold start.
+    Gp(&'a crp_gp::GpConfig),
+}
+
+/// What runs between global and detailed routing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Optimizer {
+    /// Nothing: the baseline (GR + DR, no cell movement).
+    Baseline,
+    /// CR&P with this many iterations.
+    Crp(usize),
+    /// The median-move state of the art \[18\].
+    Median,
+}
+
 impl FlowRunner {
-    /// Runs global routing on a fresh grid.
-    fn global_route(&self, design: &Design) -> (RouteGrid, GlobalRouter, Routing, Duration) {
-        let t = Instant::now();
-        let mut grid = RouteGrid::new(design, self.grid);
-        let mut router = GlobalRouter::new(self.router);
-        let routing = router.route_all(design, &mut grid);
-        (grid, router, routing, t.elapsed())
-    }
-
-    /// Runs detailed routing and scores the result.
-    fn detail_route(
-        &self,
-        design: &Design,
-        grid: &RouteGrid,
-        routing: &Routing,
-    ) -> (DetailedResult, Score, Duration) {
-        let t = Instant::now();
-        let result = DetailedRouter::new(self.dr).run(design, grid, routing);
-        let elapsed = t.elapsed();
-        let score = evaluate(&result);
-        (result, score, elapsed)
-    }
-
-    /// Baseline: global routing + detailed routing, no cell movement.
-    #[must_use]
-    pub fn run_baseline(&self, profile: &Profile) -> FlowResult {
-        let design = profile.generate();
-        let (grid, _router, routing, gr_time) = self.global_route(&design);
-        let (detailed, score, dr_time) = self.detail_route(&design, &grid, &routing);
-        FlowResult {
-            flow: "baseline".into(),
-            benchmark: profile.name.clone(),
-            score,
-            detailed,
-            outcome: FlowOutcome::Completed,
-            gr_time,
-            opt_time: Duration::ZERO,
-            dr_time,
-            stages: None,
-        }
-    }
-
-    /// CR&P with `k` iterations between GR and DR.
-    #[must_use]
-    pub fn run_crp(&self, profile: &Profile, k: usize) -> FlowResult {
-        let mut design = profile.generate();
-        let (mut grid, mut router, mut routing, gr_time) = self.global_route(&design);
-        let t = Instant::now();
-        let mut crp = Crp::new(self.crp);
-        let _reports = crp.run(k, &mut design, &mut grid, &mut router, &mut routing);
-        let opt_time = t.elapsed();
-        let (detailed, score, dr_time) = self.detail_route(&design, &grid, &routing);
-        FlowResult {
-            flow: format!("crp_k{k}"),
-            benchmark: profile.name.clone(),
-            score,
-            detailed,
-            outcome: FlowOutcome::Completed,
-            gr_time,
-            opt_time,
-            dr_time,
-            stages: Some(crp.timers),
-        }
-    }
-
-    /// The generated design re-seeded by the `crp-gp` front-end: the
-    /// generator's placement is stripped and rebuilt from the netlist
-    /// alone (electrostatic global placement + Abacus legalization).
+    /// Runs one flow on `profile`: the placement from `start`, global
+    /// routing, `optimizer`, then detailed routing and scoring. The flow
+    /// label is `baseline`, `median` or `crp_k{k}`, prefixed with `gp_`
+    /// for a [`Start::Gp`] placement.
     ///
     /// # Panics
     ///
-    /// Panics when the placer cannot legalize the profile — a workload
-    /// bug, not a recoverable flow outcome.
+    /// Panics when a [`Start::Gp`] placer cannot legalize the profile — a
+    /// workload bug, not a recoverable flow outcome.
     #[must_use]
-    pub fn gp_seeded_design(profile: &Profile, gp: &crp_gp::GpConfig) -> Design {
+    pub fn run(&self, profile: &Profile, start: Start<'_>, optimizer: Optimizer) -> FlowResult {
         let mut design = profile.generate();
-        crp_gp::strip_placement(&mut design);
-        crp_gp::place(&mut design, gp)
-            .unwrap_or_else(|e| panic!("crp-gp failed on {}: {e}", profile.name));
-        design
-    }
-
-    /// Baseline (GR + DR, no movement) on the `crp-gp` analytical seed.
-    #[must_use]
-    pub fn run_baseline_from_gp(&self, profile: &Profile, gp: &crp_gp::GpConfig) -> FlowResult {
-        let design = Self::gp_seeded_design(profile, gp);
-        let (grid, _router, routing, gr_time) = self.global_route(&design);
-        let (detailed, score, dr_time) = self.detail_route(&design, &grid, &routing);
-        FlowResult {
-            flow: "gp_baseline".into(),
-            benchmark: profile.name.clone(),
-            score,
-            detailed,
-            outcome: FlowOutcome::Completed,
-            gr_time,
-            opt_time: Duration::ZERO,
-            dr_time,
-            stages: None,
+        if let Start::Gp(gp) = start {
+            crp_gp::strip_placement(&mut design);
+            crp_gp::place(&mut design, gp)
+                .unwrap_or_else(|e| panic!("crp-gp failed on {}: {e}", profile.name));
         }
-    }
 
-    /// CR&P with `k` iterations on the `crp-gp` analytical seed — the
-    /// netlist-only cold start (GP → Abacus → GR → CR&P → DR).
-    #[must_use]
-    pub fn run_crp_from_gp(
-        &self,
-        profile: &Profile,
-        k: usize,
-        gp: &crp_gp::GpConfig,
-    ) -> FlowResult {
-        let mut design = Self::gp_seeded_design(profile, gp);
-        let (mut grid, mut router, mut routing, gr_time) = self.global_route(&design);
         let t = Instant::now();
-        let mut crp = Crp::new(self.crp);
-        let _reports = crp.run(k, &mut design, &mut grid, &mut router, &mut routing);
-        let opt_time = t.elapsed();
-        let (detailed, score, dr_time) = self.detail_route(&design, &grid, &routing);
-        FlowResult {
-            flow: format!("gp_crp_k{k}"),
-            benchmark: profile.name.clone(),
-            score,
-            detailed,
-            outcome: FlowOutcome::Completed,
-            gr_time,
-            opt_time,
-            dr_time,
-            stages: Some(crp.timers),
-        }
-    }
+        let mut grid = RouteGrid::new(&design, self.grid);
+        let mut router = GlobalRouter::new(self.router);
+        let mut routing = router.route_all(&design, &mut grid);
+        let gr_time = t.elapsed();
 
-    /// The median-move state of the art \[18\] between GR and DR.
-    #[must_use]
-    pub fn run_median(&self, profile: &Profile) -> FlowResult {
-        let mut design = profile.generate();
-        let (mut grid, mut router, mut routing, gr_time) = self.global_route(&design);
         let t = Instant::now();
-        let mover = MedianMover::new(self.median);
-        let outcome = mover.run(&mut design, &mut grid, &mut router, &mut routing);
-        let opt_time = t.elapsed();
-        let (detailed, score, dr_time) = self.detail_route(&design, &grid, &routing);
+        let (outcome, stages) = match optimizer {
+            Optimizer::Baseline => (FlowOutcome::Completed, None),
+            Optimizer::Crp(k) => {
+                let mut crp = Crp::new(self.crp);
+                let _reports = crp.run(k, &mut design, &mut grid, &mut router, &mut routing);
+                (FlowOutcome::Completed, Some(crp.timers))
+            }
+            Optimizer::Median => {
+                let mover = MedianMover::new(self.median);
+                match mover.run(&mut design, &mut grid, &mut router, &mut routing) {
+                    MedianMoveOutcome::Completed { .. } => (FlowOutcome::Completed, None),
+                    MedianMoveOutcome::Failed { .. } => (FlowOutcome::Failed, None),
+                }
+            }
+        };
+        let opt_time = match optimizer {
+            Optimizer::Baseline => Duration::ZERO,
+            _ => t.elapsed(),
+        };
+
+        let t = Instant::now();
+        let detailed = DetailedRouter::new(self.dr).run(&design, &grid, &routing);
+        let dr_time = t.elapsed();
+        let score = evaluate(&detailed);
+        let seed = if let Start::Gp(_) = start { "gp_" } else { "" };
         FlowResult {
-            flow: "median".into(),
-            benchmark: profile.name.clone(),
-            score,
-            detailed,
-            outcome: match outcome {
-                MedianMoveOutcome::Completed { .. } => FlowOutcome::Completed,
-                MedianMoveOutcome::Failed { .. } => FlowOutcome::Failed,
+            flow: match optimizer {
+                Optimizer::Baseline => format!("{seed}baseline"),
+                Optimizer::Crp(k) => format!("{seed}crp_k{k}"),
+                Optimizer::Median => format!("{seed}median"),
             },
+            benchmark: profile.name.clone(),
+            score,
+            detailed,
+            outcome,
             gr_time,
             opt_time,
             dr_time,
-            stages: None,
+            stages,
         }
     }
-}
-
-/// Percentage improvement of `new` over `base` (positive = better).
-#[must_use]
-pub fn improvement(base: f64, new: f64) -> f64 {
-    Score::improvement_pct(base, new)
 }
 
 /// A serialization-friendly snapshot of a [`FlowResult`] (durations in
@@ -341,7 +267,7 @@ mod tests {
     #[test]
     fn baseline_flow_runs_clean_on_small_profile() {
         let profile = ispd18_profiles()[0].scaled(400.0);
-        let r = FlowRunner::default().run_baseline(&profile);
+        let r = FlowRunner::default().run(&profile, Start::Generator, Optimizer::Baseline);
         assert_eq!(r.outcome, FlowOutcome::Completed);
         assert!(r.score.wirelength_dbu > 0);
         assert!(r.score.vias > 0);
@@ -351,7 +277,7 @@ mod tests {
     #[test]
     fn crp_flow_produces_stage_timers() {
         let profile = ispd18_profiles()[0].scaled(400.0);
-        let r = FlowRunner::default().run_crp(&profile, 2);
+        let r = FlowRunner::default().run(&profile, Start::Generator, Optimizer::Crp(2));
         assert!(r.stages.is_some());
         assert!(r.opt_time > Duration::ZERO);
     }
@@ -385,8 +311,8 @@ mod tests {
     fn flows_are_deterministic() {
         let profile = ispd18_profiles()[1].scaled(800.0);
         let runner = FlowRunner::default();
-        let a = runner.run_crp(&profile, 1);
-        let b = runner.run_crp(&profile, 1);
+        let a = runner.run(&profile, Start::Generator, Optimizer::Crp(1));
+        let b = runner.run(&profile, Start::Generator, Optimizer::Crp(1));
         assert_eq!(a.score.wirelength_dbu, b.score.wirelength_dbu);
         assert_eq!(a.score.vias, b.score.vias);
         assert_eq!(a.score.drvs, b.score.drvs);

@@ -12,4 +12,7 @@
 
 pub mod flows;
 
-pub use flows::{default_scale, records_to_json, FlowOutcome, FlowRecord, FlowResult, FlowRunner};
+pub use flows::{
+    default_scale, records_to_json, FlowOutcome, FlowRecord, FlowResult, FlowRunner, Optimizer,
+    Start,
+};

@@ -57,71 +57,6 @@ impl StageTimers {
         #[allow(clippy::cast_precision_loss)]
         (total > 0).then(|| self.ecc_cache_hits as f64 / total as f64)
     }
-
-    /// One-line human-readable per-phase summary, with the cache hit rate
-    /// when the price cache was active.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "label {:?} | gcp {:?} | ecc {:?} | select {:?} | update {:?}",
-            self.label, self.gcp, self.ecc, self.select, self.update
-        );
-        if let Some(rate) = self.ecc_cache_hit_rate() {
-            s.push_str(&format!(
-                " | ecc cache {}/{} hits ({:.1}%)",
-                self.ecc_cache_hits,
-                self.ecc_cache_hits + self.ecc_cache_misses,
-                rate * 100.0
-            ));
-        }
-        s
-    }
-
-    /// Machine-readable export: one flat JSON object with every stage in
-    /// integer nanoseconds plus the price-cache hit/miss counters —
-    /// exactly the payload the `crpd` `status`/`watch` endpoints embed.
-    /// Hand-rolled (the workspace vendors a stub `serde`); all values are
-    /// integers except `ecc_cache_hit_rate`, which is `null` when no
-    /// cached lookup was made.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let rate = self
-            .ecc_cache_hit_rate()
-            .map_or_else(|| "null".to_string(), |r| format!("{r}"));
-        format!(
-            concat!(
-                "{{\"label_ns\":{},\"gcp_ns\":{},\"ecc_ns\":{},",
-                "\"select_ns\":{},\"update_ns\":{},\"total_ns\":{},",
-                "\"ecc_cache_hits\":{},\"ecc_cache_misses\":{},",
-                "\"ecc_cache_hit_rate\":{}}}"
-            ),
-            self.label.as_nanos(),
-            self.gcp.as_nanos(),
-            self.ecc.as_nanos(),
-            self.select.as_nanos(),
-            self.update.as_nanos(),
-            self.total().as_nanos(),
-            self.ecc_cache_hits,
-            self.ecc_cache_misses,
-            rate,
-        )
-    }
-
-    /// Percentage breakdown `(gcp, ecc, ud, misc)` of the total, for the
-    /// Figure-3 bars. Returns zeros when nothing was timed.
-    #[must_use]
-    pub fn breakdown_pct(&self) -> (f64, f64, f64, f64) {
-        let total = self.total().as_secs_f64();
-        if total == 0.0 {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        (
-            self.gcp.as_secs_f64() / total * 100.0,
-            self.ecc.as_secs_f64() / total * 100.0,
-            self.update.as_secs_f64() / total * 100.0,
-            self.misc().as_secs_f64() / total * 100.0,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -149,6 +84,7 @@ mod tests {
 
     #[test]
     fn breakdown_sums_to_100() {
+        // The Figure-3 buckets (GCP, ECC, UD, Misc) partition the total.
         let t = StageTimers {
             label: Duration::from_millis(10),
             gcp: Duration::from_millis(20),
@@ -157,46 +93,27 @@ mod tests {
             update: Duration::from_millis(15),
             ..StageTimers::default()
         };
-        let (gcp, ecc, ud, misc) = t.breakdown_pct();
+        let total = t.total().as_secs_f64();
+        let pct = |d: Duration| d.as_secs_f64() / total * 100.0;
+        let (gcp, ecc, ud, misc) = (pct(t.gcp), pct(t.ecc), pct(t.update), pct(t.misc()));
         assert!((gcp + ecc + ud + misc - 100.0).abs() < 1e-9);
         assert!(ecc > gcp && ecc > ud);
     }
 
     #[test]
     fn empty_breakdown_is_zero() {
-        assert_eq!(StageTimers::default().breakdown_pct(), (0.0, 0.0, 0.0, 0.0));
+        let t = StageTimers::default();
+        assert_eq!(t.total(), Duration::ZERO);
+        assert_eq!(t.misc(), Duration::ZERO);
+        assert_eq!(t.ecc_cache_hit_rate(), None);
     }
 
     #[test]
-    fn json_export_is_flat_and_integer_valued() {
-        let t = StageTimers {
-            label: Duration::from_nanos(10),
-            gcp: Duration::from_nanos(20),
-            ecc: Duration::from_nanos(30),
-            select: Duration::from_nanos(5),
-            update: Duration::from_nanos(35),
-            ecc_cache_hits: 3,
-            ecc_cache_misses: 1,
-        };
-        let json = t.to_json();
-        assert!(json.contains("\"gcp_ns\":20"), "{json}");
-        assert!(json.contains("\"total_ns\":100"), "{json}");
-        assert!(json.contains("\"ecc_cache_hits\":3"), "{json}");
-        assert!(json.contains("\"ecc_cache_hit_rate\":0.75"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
-
-        let empty = StageTimers::default().to_json();
-        assert!(empty.contains("\"ecc_cache_hit_rate\":null"), "{empty}");
-    }
-
-    #[test]
-    fn cache_hit_rate_and_summary() {
+    fn cache_hit_rate() {
         let mut t = StageTimers::default();
         assert_eq!(t.ecc_cache_hit_rate(), None);
-        assert!(!t.summary().contains("ecc cache"));
         t.ecc_cache_hits = 3;
         t.ecc_cache_misses = 1;
         assert_eq!(t.ecc_cache_hit_rate(), Some(0.75));
-        assert!(t.summary().contains("3/4 hits (75.0%)"), "{}", t.summary());
     }
 }

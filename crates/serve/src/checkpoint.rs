@@ -17,9 +17,11 @@
 //! re-parsed LEF/DEF) yields a flow that continues **bit-identically**:
 //! the RNG stream replays to the exact draw, the history sets reload,
 //! and rerouting depends only on grid state reproduced by recommit.
-//! Checkpoint writes are atomic (temp file + rename), so a crash while
-//! checkpointing leaves the previous checkpoint intact, never a torn one.
+//! Checkpoint writes go through [`write_atomic`] (temp file + rename), so
+//! a crash while checkpointing leaves the previous checkpoint intact,
+//! never a torn one.
 
+use crate::driver::EventTimers;
 use crate::error::ServeError;
 use crate::json::{parse, Json};
 use crp_core::{Crp, CrpConfig, FlowState, IterationReport, StageTimers};
@@ -321,18 +323,14 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint atomically: serialize to `<path>.tmp`, then
-    /// rename over `path`. A crash mid-write leaves the previous
-    /// checkpoint file untouched.
+    /// Writes the checkpoint with [`write_atomic`]: a crash mid-write
+    /// leaves the previous checkpoint file untouched.
     ///
     /// # Errors
     ///
     /// Returns a [`ServeError`] on I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), ServeError> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json().to_string())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(write_atomic(path, self.to_json().to_string())?)
     }
 
     /// Loads a checkpoint from `path`; `Ok(None)` when the file does not
@@ -409,17 +407,28 @@ pub fn gp_state_from_json(v: &Json) -> Result<GpState, ServeError> {
     })
 }
 
-/// Writes a GP snapshot atomically (same tmp + rename discipline as
-/// [`Checkpoint::save`]).
+/// Writes a GP snapshot with [`write_atomic`].
 ///
 /// # Errors
 ///
 /// Returns a [`ServeError`] on I/O failure.
 pub fn save_gp_state(state: &GpState, path: &Path) -> Result<(), ServeError> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, gp_state_to_json(state).to_string())?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(write_atomic(path, gp_state_to_json(state).to_string())?)
+}
+
+/// Writes `bytes` to `path` atomically: the bytes go to `<path>.tmp`,
+/// which is then renamed over `path`. A crash mid-write leaves the
+/// previous file (or none) at `path`, never a torn one. Checkpoints,
+/// `state.json` and `spec.json` are all written through here.
+///
+/// # Errors
+///
+/// Returns the error of the write or of the rename.
+pub fn write_atomic(path: &Path, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Loads a GP snapshot from `path`; `Ok(None)` when the file does not
@@ -485,7 +494,12 @@ pub fn report_from_json(v: &Json) -> Result<IterationReport, ServeError> {
 
 // crp-lint: checkpoint(StageTimers, timers_to_json, timers_from_json)
 fn timers_to_json(t: &StageTimers) -> Json {
-    Json::obj(vec![
+    Json::obj(timer_fields(t))
+}
+
+/// The checkpoint's stage-timer fields, in wire order.
+fn timer_fields(t: &StageTimers) -> Vec<(&'static str, Json)> {
+    vec![
         ("label_ns", dur(t.label)),
         ("gcp_ns", dur(t.gcp)),
         ("ecc_ns", dur(t.ecc)),
@@ -496,7 +510,29 @@ fn timers_to_json(t: &StageTimers) -> Json {
             "ecc_cache_misses",
             Json::Int(i128::from(t.ecc_cache_misses)),
         ),
-    ])
+    ]
+}
+
+/// Serializes a [`WatchEvent`](crate::WatchEvent)'s telemetry for the
+/// `watch`/`status` wire. CR&P timers carry the checkpoint fields with
+/// `total_ns` after the stage times and `ecc_cache_hit_rate` (`null` when
+/// no cached lookup was made) last; GP events carry `gp_overflow` and
+/// `gp_lambda`.
+#[must_use]
+pub fn event_timers_to_json(t: &EventTimers) -> Json {
+    match *t {
+        EventTimers::Crp(t) => {
+            let mut fields = timer_fields(&t);
+            fields.insert(5, ("total_ns", dur(t.total())));
+            let rate = t.ecc_cache_hit_rate().map_or(Json::Null, Json::Float);
+            fields.push(("ecc_cache_hit_rate", rate));
+            Json::obj(fields)
+        }
+        EventTimers::Gp { overflow, lambda } => Json::obj(vec![
+            ("gp_overflow", Json::Float(overflow)),
+            ("gp_lambda", Json::Float(lambda)),
+        ]),
+    }
 }
 
 fn dur(d: Duration) -> Json {
@@ -644,6 +680,28 @@ mod tests {
             "\"iteration\": 2, \"select_nodes\": \"x\"",
         );
         assert!(report_from_json(&parse(&bad).unwrap()).is_err());
+    }
+
+    #[test]
+    fn json_export_is_flat_and_integer_valued() {
+        let t = StageTimers {
+            label: Duration::from_nanos(10),
+            gcp: Duration::from_nanos(20),
+            ecc: Duration::from_nanos(30),
+            select: Duration::from_nanos(5),
+            update: Duration::from_nanos(35),
+            ecc_cache_hits: 3,
+            ecc_cache_misses: 1,
+        };
+        let json = event_timers_to_json(&EventTimers::Crp(t)).to_string();
+        assert!(json.contains("\"gcp_ns\":20"), "{json}");
+        assert!(json.contains("\"total_ns\":100"), "{json}");
+        assert!(json.contains("\"ecc_cache_hits\":3"), "{json}");
+        assert!(json.contains("\"ecc_cache_hit_rate\":0.75"), "{json}");
+        assert!(json.starts_with('{') && json.ends_with('}'));
+
+        let empty = event_timers_to_json(&EventTimers::Crp(StageTimers::default())).to_string();
+        assert!(empty.contains("\"ecc_cache_hit_rate\":null"), "{empty}");
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! the job directory, so the scheduler can re-dispatch a paused or
 //! crashed job at any time, on any worker.
 
-use crate::checkpoint::{load_gp_state, report_to_json, save_gp_state, Checkpoint};
+use crate::checkpoint::{
+    event_timers_to_json, load_gp_state, report_to_json, save_gp_state, Checkpoint,
+};
 use crate::error::ServeError;
-use crate::json::{parse, Json};
+use crate::json::Json;
 use crate::spec::{JobMode, JobSpec, Workload};
-use crp_core::{Crp, IterationReport};
+use crp_core::{Crp, IterationReport, StageTimers};
 use crp_gp::{legalize_abacus, strip_placement, GlobalPlacer, GpConfig, GpIterStats};
 use crp_grid::{GridConfig, RouteGrid};
 use crp_lefdef::{parse_def, parse_lef, write_def, write_guides};
@@ -39,8 +41,8 @@ pub const RESULT_GUIDE_FILE: &str = "result.guide";
 /// by `gp_iterations`, with `total = gp_iterations + iterations`. GP
 /// events carry a synthesized report — no routing exists yet, so the
 /// route-centric counters are zero, `cost_before`/`cost_after` hold the
-/// smooth WA wirelength and the exact HPWL, and `timers_json` carries
-/// the density overflow and weight instead of stage timers.
+/// smooth WA wirelength and the exact HPWL, and `timers` carries the
+/// density overflow and weight instead of stage timers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchEvent {
     /// 0-based iteration that just completed.
@@ -49,24 +51,34 @@ pub struct WatchEvent {
     pub total: usize,
     /// The iteration's statistics.
     pub report: IterationReport,
-    /// Accumulated `StageTimers::to_json()` output, verbatim — the same
-    /// JSON the `crp-bench` tooling prints, including the price-cache
-    /// hit/miss counters.
-    pub timers_json: String,
+    /// The job's telemetry after this iteration.
+    pub timers: EventTimers,
+}
+
+/// The telemetry a [`WatchEvent`] carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EventTimers {
+    /// The flow's accumulated CR&P stage timers, including the
+    /// price-cache hit/miss counters.
+    Crp(StageTimers),
+    /// The GP solver's density overflow and weight for this iteration.
+    Gp {
+        /// Density overflow fraction.
+        overflow: f64,
+        /// Density weight.
+        lambda: f64,
+    },
 }
 
 impl WatchEvent {
-    /// Serializes the event for the wire. The `timers` field embeds
-    /// `timers_json` as-is (it is already canonical JSON; a parse failure
-    /// would be a bug and degrades to a string).
+    /// Serializes the event for the wire.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let timers = parse(&self.timers_json).unwrap_or_else(|_| Json::str(&self.timers_json));
         Json::obj(vec![
             ("iteration", Json::Int(self.iteration as i128)),
             ("total", Json::Int(self.total as i128)),
             ("report", report_to_json(&self.report)),
-            ("timers", timers),
+            ("timers", event_timers_to_json(&self.timers)),
         ])
     }
 }
@@ -132,16 +144,6 @@ fn gp_report(stats: &GpIterStats) -> IterationReport {
     }
 }
 
-/// The GP phase has no stage timers; its `timers_json` slot carries the
-/// solver's own telemetry instead.
-fn gp_timers_json(stats: &GpIterStats) -> String {
-    Json::obj(vec![
-        ("gp_overflow", Json::Float(stats.overflow)),
-        ("gp_lambda", Json::Float(stats.lambda)),
-    ])
-    .to_string()
-}
-
 /// Runs (or resumes) the GP phase of a `place` job: strips the incoming
 /// placement (the cold-start proof — nothing of the generator's
 /// placement can leak through), spreads with the electrostatic solver,
@@ -188,7 +190,10 @@ fn run_gp_phase(
             iteration: stats.iter,
             total: grand_total,
             report: gp_report(&stats),
-            timers_json: gp_timers_json(&stats),
+            timers: EventTimers::Gp {
+                overflow: stats.overflow,
+                lambda: stats.lambda,
+            },
         });
         let done = placer.state().iter;
         if spec.checkpoint_every > 0
@@ -291,7 +296,7 @@ pub fn run_job(
             iteration: gp_off + i,
             total: grand_total,
             report,
-            timers_json: crp.timers().to_json(),
+            timers: EventTimers::Crp(*crp.timers()),
         });
         let done = i + 1;
         if spec.checkpoint_every > 0 && done % spec.checkpoint_every == 0 && done < total {
@@ -428,8 +433,8 @@ mod tests {
             assert_eq!(ev.iteration, k);
             assert_eq!(ev.total, 8);
         }
-        assert!(events[0].timers_json.contains("gp_overflow"));
-        assert!(events[7].timers_json.contains("ecc_cache_hits"));
+        assert!(matches!(events[0].timers, EventTimers::Gp { .. }));
+        assert!(matches!(events[7].timers, EventTimers::Crp(_)));
         assert!(dir.join(RESULT_DEF_FILE).exists());
         assert!(dir.join(RESULT_GUIDE_FILE).exists());
         assert!(
@@ -474,6 +479,65 @@ mod tests {
         assert_eq!(guide, ref_guide, "resumed place-job guides diverged");
         let _ = std::fs::remove_dir_all(&ref_dir);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Wire bytes of `watch`/`status` events, pinned to literals: clients
+    /// parse this format, so it must not drift.
+    #[test]
+    fn watch_event_wire_bytes_are_pinned() {
+        let wire = |timers| {
+            let report = IterationReport {
+                iteration: 4,
+                critical_cells: 40,
+                candidates: 310,
+                moved_cells: 7,
+                rerouted_nets: 19,
+                cost_before: 1234.5,
+                cost_after: 1200.25,
+                select_nodes: 12,
+                select_unproven_components: 0,
+                select_fallback_cells: 0,
+            };
+            WatchEvent {
+                iteration: 9,
+                total: 10,
+                report,
+                timers,
+            }
+            .to_json()
+            .to_string()
+        };
+        let nanos = std::time::Duration::from_nanos;
+        let mut t = StageTimers {
+            label: nanos(10),
+            gcp: nanos(20),
+            ecc: nanos(30),
+            select: nanos(5),
+            update: nanos(35),
+            ecc_cache_hits: 2,
+            ecc_cache_misses: 1,
+        };
+        assert_eq!(
+            wire(EventTimers::Crp(t)),
+            r#"{"iteration":9,"total":10,"report":{"iteration":4,"critical_cells":40,"candidates":310,"moved_cells":7,"rerouted_nets":19,"cost_before":1234.5,"cost_after":1200.25,"select_nodes":12,"select_unproven_components":0,"select_fallback_cells":0},"timers":{"label_ns":10,"gcp_ns":20,"ecc_ns":30,"select_ns":5,"update_ns":35,"total_ns":100,"ecc_cache_hits":2,"ecc_cache_misses":1,"ecc_cache_hit_rate":0.6666666666666666}}"#
+        );
+        (t.ecc_cache_hits, t.ecc_cache_misses) = (0, 0);
+        assert_eq!(
+            wire(EventTimers::Crp(t)),
+            r#"{"iteration":9,"total":10,"report":{"iteration":4,"critical_cells":40,"candidates":310,"moved_cells":7,"rerouted_nets":19,"cost_before":1234.5,"cost_after":1200.25,"select_nodes":12,"select_unproven_components":0,"select_fallback_cells":0},"timers":{"label_ns":10,"gcp_ns":20,"ecc_ns":30,"select_ns":5,"update_ns":35,"total_ns":100,"ecc_cache_hits":0,"ecc_cache_misses":0,"ecc_cache_hit_rate":null}}"#
+        );
+        let gp = EventTimers::Gp {
+            overflow: 0.1 + 0.2,
+            lambda: 3.0,
+        };
+        assert_eq!(
+            wire(gp),
+            r#"{"iteration":9,"total":10,"report":{"iteration":4,"critical_cells":40,"candidates":310,"moved_cells":7,"rerouted_nets":19,"cost_before":1234.5,"cost_after":1200.25,"select_nodes":12,"select_unproven_components":0,"select_fallback_cells":0},"timers":{"gp_overflow":0.30000000000000004,"gp_lambda":3.0}}"#
+        );
+        // A whole-number rate is a float on the wire: `1.0`, never `1`.
+        t.ecc_cache_hits = 3;
+        let json = wire(EventTimers::Crp(t));
+        assert!(json.ends_with(r#""ecc_cache_hit_rate":1.0}}"#), "{json}");
     }
 
     #[test]

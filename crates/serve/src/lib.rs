@@ -22,8 +22,8 @@
 //!   state (placement, routes, grid epoch, RNG stream position, history
 //!   sets, timers) is written atomically to disk, so a SIGKILLed daemon
 //!   resumes every in-flight job **bit-identically** on restart,
-//! - **streaming progress**: `watch` long-polls per-iteration events
-//!   carrying the same JSON produced by `StageTimers::to_json`.
+//! - **streaming progress**: `watch` streams per-iteration events
+//!   carrying the flow's stage timers and price-cache counters.
 //!
 //! The wire protocol and job state machine are documented in
 //! `DESIGN.md` §10.
@@ -44,7 +44,7 @@ pub mod spec;
 
 pub use checkpoint::{Checkpoint, SavedCell};
 pub use client::Client;
-pub use driver::{run_job, RunOutcome, WatchEvent};
+pub use driver::{run_job, EventTimers, RunOutcome, WatchEvent};
 pub use error::ServeError;
 pub use fairshare::{FinishKind, Ledger, TenantCounters, TenantQuota, TenantView};
 pub use json::{parse, Json, JsonError};

@@ -17,7 +17,8 @@
 //! queue: `Running` jobs (whose worker died with the process) simply
 //! re-enter their lane and resume from their last checkpoint.
 
-use crate::driver::{run_job, RunOutcome, WatchEvent};
+use crate::checkpoint::write_atomic;
+use crate::driver::{run_job, EventTimers, RunOutcome, WatchEvent};
 use crate::error::ServeError;
 use crate::fairshare::{FinishKind, Ledger, TenantQuota, TenantView};
 use crate::json::{parse, Json};
@@ -80,11 +81,6 @@ struct JobRecord {
     /// Per-iteration events observed so far (resume-aware: prefilled
     /// from the checkpoint's reports on recovery).
     events: Vec<WatchEvent>,
-    /// Cumulative price-cache hit/miss counters from the job's latest
-    /// event (the flow's timers accumulate across iterations and survive
-    /// checkpoint restore, so this is a per-job lifetime total).
-    cache_hits: u64,
-    cache_misses: u64,
     flags: Arc<JobFlags>,
 }
 
@@ -97,8 +93,6 @@ impl JobRecord {
             iterations_done: 0,
             granted: 0,
             events: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
             flags: Arc::new(JobFlags::default()),
         }
     }
@@ -112,6 +106,8 @@ struct SchedState {
     running: usize,
     free_threads: usize,
     draining: bool,
+    /// `state.json` writes that failed (see `Scheduler::persist_state`).
+    persist_failures: u64,
 }
 
 /// The shared scheduler handle. Cloning is cheap; all clones drive the
@@ -124,8 +120,8 @@ pub struct Scheduler {
 struct SchedInner {
     config: SchedConfig,
     state: Mutex<SchedState>,
-    /// Woken on every state change: dispatcher re-evaluates, `watch`
-    /// long-polls re-check.
+    /// Woken on every state change: the dispatcher re-evaluates and
+    /// `drain` re-checks.
     cond: Condvar,
 }
 
@@ -202,6 +198,8 @@ pub struct SchedMetrics {
     pub cache_hits: u64,
     /// Price-cache misses summed over every known job's latest timers.
     pub cache_misses: u64,
+    /// `state.json` writes that failed since the daemon started.
+    pub persist_failures: u64,
 }
 
 impl SchedMetrics {
@@ -289,6 +287,10 @@ impl SchedMetrics {
                     ("hit_rate", hit_rate),
                 ]),
             ),
+            (
+                "persist_failures",
+                Json::Int(i128::from(self.persist_failures)),
+            ),
         ])
     }
 }
@@ -300,20 +302,6 @@ fn lock_state(inner: &SchedInner) -> std::sync::MutexGuard<'_, SchedState> {
         .state
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Extracts the cumulative price-cache counters from a watch event's
-/// timers payload (`StageTimers::to_json` output).
-fn cache_counters(timers_json: &str) -> (u64, u64) {
-    match parse(timers_json) {
-        Ok(v) => (
-            v.get("ecc_cache_hits").and_then(Json::as_u64).unwrap_or(0),
-            v.get("ecc_cache_misses")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        ),
-        Err(_) => (0, 0),
-    }
 }
 
 impl Scheduler {
@@ -341,6 +329,7 @@ impl Scheduler {
                     running: 0,
                     free_threads,
                     draining: false,
+                    persist_failures: 0,
                 }),
                 cond: Condvar::new(),
             }),
@@ -473,7 +462,7 @@ impl Scheduler {
         }
         let dir = self.job_dir(id);
         std::fs::create_dir_all(&dir)?;
-        std::fs::write(dir.join("spec.json"), spec.to_json().to_string())?;
+        write_atomic(&dir.join("spec.json"), spec.to_json().to_string())?;
         self.persist_state(id, JobState::Queued, None);
         self.inner.cond.notify_all();
         Ok(id)
@@ -566,8 +555,13 @@ impl Scheduler {
         let mut cache_misses = 0u64;
         for rec in st.jobs.values() {
             *states.entry(rec.state.as_str()).or_insert(0) += 1;
-            cache_hits += rec.cache_hits;
-            cache_misses += rec.cache_misses;
+            // CR&P timers accumulate across iterations and survive
+            // checkpoint restore, so the latest event holds the job's
+            // lifetime totals; a GP event has no cache.
+            if let Some(EventTimers::Crp(t)) = rec.events.last().map(|ev| ev.timers) {
+                cache_hits += t.ecc_cache_hits;
+                cache_misses += t.ecc_cache_misses;
+            }
         }
         SchedMetrics {
             queue_capacity: self.inner.config.queue_capacity,
@@ -581,42 +575,14 @@ impl Scheduler {
             states,
             cache_hits,
             cache_misses,
+            persist_failures: st.persist_failures,
         }
     }
 
-    /// Blocks until the job has produced an event with index `>= from`
-    /// or reached a terminal state; returns all events from `from` on
-    /// and the job's current state. This is the long-poll behind the
-    /// `watch` verb.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ServeError`] for unknown job ids.
-    pub fn watch(&self, id: u64, from: usize) -> Result<(Vec<WatchEvent>, JobState), ServeError> {
-        let mut st = lock_state(&self.inner);
-        loop {
-            let rec = st
-                .jobs
-                .get(&id)
-                .ok_or_else(|| ServeError::new(format!("unknown job {id}")))?;
-            if rec.events.len() > from || rec.state.is_terminal() {
-                let events = rec.events.get(from..).unwrap_or(&[]).to_vec();
-                return Ok((events, rec.state));
-            }
-            let (guard, _timeout) = self
-                .inner
-                .cond
-                // crp-lint: allow(held-lock-blocking, condvar wait atomically releases the state mutex it is paired with; no other lock is held
-                .wait_timeout(st, std::time::Duration::from_millis(500))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-        }
-    }
-
-    /// Non-blocking `watch`: returns whatever events exist from `from`
-    /// on (possibly none) and the job's current state, immediately.
-    /// The connection pool polls this so one slow watcher cannot stall
-    /// a socket worker.
+    /// The `watch` verb's view of a job: whatever events exist from
+    /// `from` on (possibly none) and the job's current state, returned
+    /// immediately. The connection pool polls this so one slow watcher
+    /// cannot stall a socket worker.
     ///
     /// # Errors
     ///
@@ -658,19 +624,18 @@ impl Scheduler {
         }
     }
 
-    /// Writes `state.json` for a job (atomically: tmp + rename).
+    /// Writes `state.json` for a job with [`write_atomic`]. Persistence
+    /// is best-effort durability, not correctness: a failed write
+    /// degrades crash recovery, never live behavior, so it is counted in
+    /// [`SchedMetrics::persist_failures`] rather than returned.
     fn persist_state(&self, id: u64, state: JobState, error: Option<&str>) {
-        let dir = self.job_dir(id);
         let mut fields = vec![("state", Json::str(state.as_str()))];
         if let Some(e) = error {
             fields.push(("error", Json::str(e)));
         }
-        let text = Json::obj(fields).to_string();
-        let tmp = dir.join("state.json.tmp");
-        // Persistence is best-effort durability, not correctness: a
-        // failed write degrades crash recovery, never live behavior.
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, dir.join("state.json"));
+        let path = self.job_dir(id).join("state.json");
+        if write_atomic(&path, Json::obj(fields).to_string()).is_err() {
+            lock_state(&self.inner).persist_failures += 1;
         }
     }
 
@@ -757,19 +722,14 @@ impl Scheduler {
             }
         };
         let dir = self.job_dir(id);
-        let sched = self.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Watchers poll (`watch_poll`), so an event wakes no one.
             let mut on_event = |ev: WatchEvent| {
-                let (hits, misses) = cache_counters(&ev.timers_json);
-                let mut st = lock_state(&sched.inner);
+                let mut st = lock_state(&self.inner);
                 if let Some(rec) = st.jobs.get_mut(&id) {
                     rec.iterations_done = ev.iteration + 1;
-                    rec.cache_hits = hits;
-                    rec.cache_misses = misses;
                     rec.events.push(ev);
                 }
-                drop(st);
-                sched.inner.cond.notify_all();
             };
             run_job(
                 &spec,
@@ -863,16 +823,27 @@ mod tests {
         .unwrap()
     }
 
+    /// Polls `watch_poll` until the job has an event at index `>= from`
+    /// or is terminal; returns the events from `from` on and the state.
+    fn watch_wait(s: &Scheduler, id: u64, from: usize) -> (Vec<WatchEvent>, JobState) {
+        loop {
+            let (events, state) = s.watch_poll(id, from).unwrap();
+            if !events.is_empty() || state.is_terminal() {
+                return (events, state);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+
     fn wait_terminal(s: &Scheduler, id: u64) -> JobState {
-        let (_, state) = s.watch(id, usize::MAX).unwrap();
-        state
+        watch_wait(s, id, usize::MAX).1
     }
 
     #[test]
     fn submit_run_watch_completes() {
         let s = sched("basic", 4);
         let id = s.submit(tiny_spec(2)).unwrap();
-        let (events, state) = s.watch(id, 0).unwrap();
+        let (events, state) = watch_wait(&s, id, 0);
         assert!(!events.is_empty());
         let state = if state.is_terminal() {
             state
@@ -965,7 +936,6 @@ mod tests {
         let s = sched("unknown", 4);
         assert!(s.status(99).is_err());
         assert!(s.cancel(99).is_err());
-        assert!(s.watch(99, 0).is_err());
         assert!(s.watch_poll(99, 0).is_err());
     }
 
@@ -974,7 +944,7 @@ mod tests {
         let s = sched("drain", 8);
         let id = s.submit(tiny_spec(50)).unwrap();
         // Wait until it has produced at least one event, then drain.
-        let _ = s.watch(id, 0).unwrap();
+        let _ = watch_wait(&s, id, 0);
         s.drain();
         let state = s.status(id).unwrap().state;
         assert!(
@@ -1005,7 +975,7 @@ mod tests {
         {
             let s = Scheduler::new(config.clone()).unwrap();
             let id = s.submit(tiny_spec(50)).unwrap();
-            let _ = s.watch(id, 0).unwrap(); // at least one iteration done
+            let _ = watch_wait(&s, id, 0); // at least one iteration done
             s.drain(); // park it with a checkpoint, like a graceful stop
         }
         // "New process": a fresh scheduler over the same data dir.
@@ -1083,5 +1053,27 @@ mod tests {
                 .and_then(Json::as_usize),
             Some(0)
         );
+    }
+
+    #[test]
+    fn failed_state_write_is_counted() {
+        // No job is ever dispatched, so the queued job's only writes are
+        // the ones this test provokes.
+        let dir = std::env::temp_dir().join(format!("crp-sched-persist-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Scheduler::new(SchedConfig {
+            data_dir: dir,
+            max_running: 0,
+            ..SchedConfig::default()
+        })
+        .unwrap();
+        let id = s.submit(tiny_spec(1)).unwrap();
+        assert_eq!(s.metrics().persist_failures, 0);
+        std::fs::remove_dir_all(s.job_dir(id)).unwrap();
+        assert_eq!(s.cancel(id).unwrap(), JobState::Cancelled);
+        let m = s.metrics();
+        assert_eq!(m.persist_failures, 1);
+        let v = parse(&m.to_json().to_string()).unwrap();
+        assert_eq!(v.get("persist_failures").and_then(Json::as_u64), Some(1));
     }
 }

@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: the full GR → CR&P → DR flow must keep
 //! every invariant the paper's problem formulation demands (Eq. 2–8).
 
+use crp_bench::{FlowRunner, Optimizer, Start};
 use crp_core::{Crp, CrpConfig};
-use crp_drouter::{evaluate, DetailedRouter, DrConfig};
+use crp_drouter::{DetailedRouter, DrConfig};
 use crp_grid::{GridConfig, RouteGrid};
 use crp_netlist::{check_legality, Design};
 use crp_router::{GlobalRouter, RouterConfig, Routing};
@@ -66,12 +67,11 @@ fn detailed_routing_reports_no_opens_on_connected_input() {
 
 #[test]
 fn full_flow_is_deterministic_end_to_end() {
+    let profile = ispd18_profiles()[4].scaled(500.0);
     let run = || {
-        let (mut design, mut grid, mut router, mut routing) = routed(4, 500.0);
-        let mut crp = Crp::new(CrpConfig::default());
-        crp.run(3, &mut design, &mut grid, &mut router, &mut routing);
-        let result = DetailedRouter::new(DrConfig::default()).run(&design, &grid, &routing);
-        let score = evaluate(&result);
+        let score = FlowRunner::default()
+            .run(&profile, Start::Generator, Optimizer::Crp(3))
+            .score;
         (score.wirelength_dbu, score.vias, score.drvs)
     };
     assert_eq!(run(), run());

@@ -6,7 +6,7 @@
 //! same netlist refined from the generator's seed. `EXPERIMENTS.md`
 //! records both trajectories at full benchmark scale.
 
-use crp_bench::{FlowOutcome, FlowRunner};
+use crp_bench::{FlowOutcome, FlowRunner, Optimizer, Start};
 use crp_core::{CheckLevel, Crp, CrpConfig};
 use crp_drouter::{DetailedRouter, DrConfig};
 use crp_gp::{place, strip_placement, GpConfig};
@@ -68,8 +68,8 @@ fn crp_on_gp_seed_never_worsens_wirelength_or_drvs() {
     let gp = gp_cfg();
     for profile in &netlist_only_profiles() {
         let p = profile.scaled(100.0);
-        let base = runner.run_baseline_from_gp(&p, &gp);
-        let crp = runner.run_crp_from_gp(&p, 10, &gp);
+        let base = runner.run(&p, Start::Gp(&gp), Optimizer::Baseline);
+        let crp = runner.run(&p, Start::Gp(&gp), Optimizer::Crp(10));
         assert_eq!(crp.outcome, FlowOutcome::Completed);
         // CR&P minimizes the weighted contest score, occasionally paying
         // a sliver of wirelength for via/DRV relief — so the score is
@@ -107,8 +107,8 @@ fn gp_seed_refines_at_least_as_well_as_generator_seed() {
     let gp = gp_cfg();
     for profile in &netlist_only_profiles() {
         let p = profile.scaled(100.0);
-        let from_gen = runner.run_crp(&p, 10);
-        let from_gp = runner.run_crp_from_gp(&p, 10, &gp);
+        let from_gen = runner.run(&p, Start::Generator, Optimizer::Crp(10));
+        let from_gp = runner.run(&p, Start::Gp(&gp), Optimizer::Crp(10));
         assert!(
             from_gp.score.weighted <= from_gen.score.weighted * 1.001,
             "{}: gp seed refined worse than generator seed: {} vs {}",

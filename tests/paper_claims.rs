@@ -10,7 +10,7 @@
 //! of *direction*, not of the exact percentages (see EXPERIMENTS.md for
 //! the full-scale numbers).
 
-use crp_bench::{FlowOutcome, FlowRunner};
+use crp_bench::{FlowOutcome, FlowRunner, Optimizer, Start};
 use crp_workload::ispd18_profiles;
 
 #[test]
@@ -18,8 +18,8 @@ fn crp_does_not_add_drvs() {
     let runner = FlowRunner::default();
     for idx in [1usize, 6] {
         let p = ispd18_profiles()[idx].scaled(300.0);
-        let baseline = runner.run_baseline(&p);
-        let k10 = runner.run_crp(&p, 10);
+        let baseline = runner.run(&p, Start::Generator, Optimizer::Baseline);
+        let k10 = runner.run(&p, Start::Generator, Optimizer::Crp(10));
         assert!(
             k10.score.drvs <= baseline.score.drvs,
             "{}: DRVs grew {} -> {}",
@@ -34,8 +34,8 @@ fn crp_does_not_add_drvs() {
 fn crp_improves_vias_on_congested_profile() {
     let runner = FlowRunner::default();
     let p = ispd18_profiles()[6].scaled(300.0); // test7 analogue
-    let baseline = runner.run_baseline(&p);
-    let k10 = runner.run_crp(&p, 10);
+    let baseline = runner.run(&p, Start::Generator, Optimizer::Baseline);
+    let k10 = runner.run(&p, Start::Generator, Optimizer::Crp(10));
     assert!(
         k10.score.vias <= baseline.score.vias,
         "{}: vias {} -> {}",
@@ -49,9 +49,9 @@ fn crp_improves_vias_on_congested_profile() {
 fn more_iterations_do_not_hurt() {
     let runner = FlowRunner::default();
     let p = ispd18_profiles()[4].scaled(300.0); // test5 analogue
-    let baseline = runner.run_baseline(&p);
-    let k1 = runner.run_crp(&p, 1);
-    let k10 = runner.run_crp(&p, 10);
+    let baseline = runner.run(&p, Start::Generator, Optimizer::Baseline);
+    let k1 = runner.run(&p, Start::Generator, Optimizer::Crp(1));
+    let k10 = runner.run(&p, Start::Generator, Optimizer::Crp(10));
     // Weighted score folds WL + vias + DRVs with the contest weights.
     assert!(k10.score.weighted <= k1.score.weighted * 1.001);
     assert!(k10.score.weighted <= baseline.score.weighted * 1.001);
@@ -61,7 +61,7 @@ fn more_iterations_do_not_hurt() {
 fn median_mover_completes_on_small_profiles() {
     let runner = FlowRunner::default();
     let p = ispd18_profiles()[1].scaled(300.0); // test2 analogue: sparse
-    let median = runner.run_median(&p);
+    let median = runner.run(&p, Start::Generator, Optimizer::Median);
     assert_eq!(median.outcome, FlowOutcome::Completed);
     assert_eq!(median.detailed.drc.opens, 0);
 }
@@ -75,8 +75,8 @@ fn shape_survives_clustered_netlist_model() {
     let runner = FlowRunner::default();
     let mut p = ispd18_profiles()[6].scaled(300.0);
     p.netlist_style = NetlistStyle::Clustered;
-    let baseline = runner.run_baseline(&p);
-    let k10 = runner.run_crp(&p, 10);
+    let baseline = runner.run(&p, Start::Generator, Optimizer::Baseline);
+    let k10 = runner.run(&p, Start::Generator, Optimizer::Crp(10));
     assert!(
         k10.score.weighted <= baseline.score.weighted * 1.001,
         "clustered model regressed: {} -> {}",
@@ -91,8 +91,8 @@ fn crp_runtime_scales_roughly_linearly_in_k() {
     // by a constant value and is not increased exponentially."
     let runner = FlowRunner::default();
     let p = ispd18_profiles()[3].scaled(300.0);
-    let k2 = runner.run_crp(&p, 2);
-    let k8 = runner.run_crp(&p, 8);
+    let k2 = runner.run(&p, Start::Generator, Optimizer::Crp(2));
+    let k8 = runner.run(&p, Start::Generator, Optimizer::Crp(8));
     let per_iter_2 = k2.opt_time.as_secs_f64() / 2.0;
     let per_iter_8 = k8.opt_time.as_secs_f64() / 8.0;
     // Later iterations are typically cheaper (history damping shrinks the
