@@ -132,10 +132,7 @@ fn bench_global_route(c: &mut Criterion) {
 }
 
 fn bench_estimate_phase(c: &mut Criterion) {
-    use crp_core::{
-        estimate_candidates_cached, estimate_candidates_chunked, label_critical_cells, Candidate,
-        PriceCache,
-    };
+    use crp_core::{estimate_candidates, label_critical_cells, Candidate, PriceCache};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -167,18 +164,6 @@ fn bench_estimate_phase(c: &mut Criterion) {
         })
         .collect();
 
-    // The seed implementation: fixed chunks, fresh allocations, no memo.
-    c.bench_function("crp/estimate_chunked_baseline", |b| {
-        b.iter_batched(
-            || per_cell.clone(),
-            |mut pc| {
-                estimate_candidates_chunked(&design, &grid, &routing, &mut pc, &config);
-                black_box(pc)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-
     // Work stealing + per-worker scratch + persistent price cache. The
     // cache stays warm across bench iterations, mirroring the flow's
     // steady state where most nets' congestion is untouched between
@@ -188,14 +173,7 @@ fn bench_estimate_phase(c: &mut Criterion) {
         b.iter_batched(
             || per_cell.clone(),
             |mut pc| {
-                estimate_candidates_cached(
-                    &design,
-                    &grid,
-                    &routing,
-                    &mut pc,
-                    &config,
-                    Some(&cache),
-                );
+                estimate_candidates(&design, &grid, &routing, &mut pc, &config, Some(&cache));
                 black_box(pc)
             },
             BatchSize::LargeInput,

@@ -10,11 +10,13 @@
 //!
 //! Set `CRP_SCALE` to change the benchmark scale (default 100).
 
-use crp_bench::{default_scale, records_to_json, FlowRecord, FlowRunner, Optimizer, Start};
+use crp_bench::{
+    default_scale, records_to_json, write_results, FlowRecord, FlowRunner, Optimizer, Start,
+};
 use crp_gp::GpConfig;
 use crp_workload::netlist_only_profiles;
 
-fn main() {
+fn main() -> Result<(), String> {
     let scale = default_scale();
     let runner = FlowRunner::default();
     let gp = GpConfig {
@@ -89,9 +91,10 @@ fn main() {
         }
     }
 
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write("results/gp_seed.json", records_to_json(&records));
-        let _ = std::fs::write("results/gp_seed.md", md);
-        eprintln!("records written to results/gp_seed.json and results/gp_seed.md");
-    }
+    write_results(&[
+        ("gp_seed.json", &records_to_json(&records)),
+        ("gp_seed.md", &md),
+    ])?;
+    eprintln!("records written to results/gp_seed.json and results/gp_seed.md");
+    Ok(())
 }

@@ -9,12 +9,13 @@
 //! Set `CRP_SCALE` to change the benchmark scale (default 100).
 
 use crp_bench::{
-    default_scale, records_to_json, FlowOutcome, FlowRecord, FlowRunner, Optimizer, Start,
+    default_scale, records_to_json, write_results, FlowOutcome, FlowRecord, FlowRunner, Optimizer,
+    Start,
 };
 use crp_drouter::Score;
 use crp_workload::ispd18_profiles;
 
-fn main() {
+fn main() -> Result<(), String> {
     let scale = default_scale();
     let runner = FlowRunner::default();
     println!("Table III reproduction (scale 1/{scale})");
@@ -141,18 +142,19 @@ fn main() {
     println!(
         "Paper (Table III averages): [18] WL +(-0.74) vias +0.74; k=1 WL +0.04 vias +0.80; k=10 WL +0.14 vias +2.06"
     );
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write("results/table3.json", records_to_json(&records));
-        md.push_str(&format!(
-            "| **Avg** | | {:+.2} | {:+.2} | {:+.2} | | | | | | {:+.2} | {:+.2} | {:+.2} |\n",
-            avg(0),
-            avg(1),
-            avg(2),
-            avg(3),
-            avg(4),
-            avg(5)
-        ));
-        let _ = std::fs::write("results/table3.md", md);
-        eprintln!("records written to results/table3.json and results/table3.md");
-    }
+    md.push_str(&format!(
+        "| **Avg** | | {:+.2} | {:+.2} | {:+.2} | | | | | | {:+.2} | {:+.2} | {:+.2} |\n",
+        avg(0),
+        avg(1),
+        avg(2),
+        avg(3),
+        avg(4),
+        avg(5)
+    ));
+    write_results(&[
+        ("table3.json", &records_to_json(&records)),
+        ("table3.md", &md),
+    ])?;
+    eprintln!("records written to results/table3.json and results/table3.md");
+    Ok(())
 }

@@ -229,6 +229,19 @@ impl From<&FlowResult> for FlowRecord {
     }
 }
 
+/// Writes each `(file name, contents)` pair under `results/`, creating
+/// the directory first. The error names the path that failed, so a bench
+/// binary can return it from `main` instead of losing its output silently.
+pub fn write_results(files: &[(&str, &str)]) -> Result<(), String> {
+    let dir = std::path::Path::new("results");
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    for (name, contents) in files {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    }
+    Ok(())
+}
+
 /// Serializes records as a JSON array (hand-rolled: the workspace keeps
 /// its dependency set minimal, and the record layout is flat).
 #[must_use]

@@ -13,6 +13,6 @@
 pub mod flows;
 
 pub use flows::{
-    default_scale, records_to_json, FlowOutcome, FlowRecord, FlowResult, FlowRunner, Optimizer,
-    Start,
+    default_scale, records_to_json, write_results, FlowOutcome, FlowRecord, FlowResult, FlowRunner,
+    Optimizer, Start,
 };

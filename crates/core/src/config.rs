@@ -74,20 +74,6 @@ impl Default for CrpConfig {
     }
 }
 
-impl CrpConfig {
-    /// The worker-thread count to actually use.
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(8)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,14 +87,5 @@ mod tests {
         assert_eq!(c.max_window_cells, 3);
         assert!(c.congestion_aware && c.prioritize);
         assert_eq!(c.check_level, CheckLevel::Off, "checking must be opt-in");
-    }
-
-    #[test]
-    fn effective_threads_positive_and_capped() {
-        let mut c = CrpConfig::default();
-        assert!(c.effective_threads() >= 1);
-        assert!(c.effective_threads() <= 8);
-        c.threads = 3;
-        assert_eq!(c.effective_threads(), 3);
     }
 }

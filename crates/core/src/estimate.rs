@@ -2,13 +2,13 @@
 
 use crate::candidate::Candidate;
 use crate::config::CrpConfig;
-use crate::parallel::run_indexed;
+use crate::parallel::{resolve_threads, run_indexed};
 use crate::price_cache::{PriceCache, PriceRegion};
 use crp_check::CheckViolation;
 use crp_geom::sum_ordered;
 use crp_grid::{Edge, RouteGrid};
 use crp_netlist::{Design, NetId};
-use crp_router::{pattern_route_tree_discounted, NetRoute, PinNode, Routing};
+use crp_router::{discounted_edge_cost, pattern_route_tree_discounted, NetRoute, PinNode, Routing};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Reusable per-worker buffers for candidate pricing.
@@ -49,31 +49,12 @@ impl PriceScratch {
 /// Eq. 10; without it (the \[18\]-style ablation) the price is the pure
 /// route *length* — the reference's cost model has no via or congestion
 /// term ("only modeled by the length and a number of detours").
+///
+/// `scratch` holds the caller's reusable buffers; `cache` is an optional
+/// epoch-invalidated memo whose results are bit-identical to pricing
+/// without it (see [`PriceCache`]).
 #[must_use]
 pub fn price_cell_nets(
-    design: &Design,
-    grid: &RouteGrid,
-    routing: &Routing,
-    candidate: &Candidate,
-    congestion_aware: bool,
-) -> f64 {
-    let mut scratch = PriceScratch::new();
-    price_cell_nets_with(
-        design,
-        grid,
-        routing,
-        candidate,
-        congestion_aware,
-        None,
-        &mut scratch,
-    )
-}
-
-/// [`price_cell_nets`] with caller-provided scratch buffers and an
-/// optional epoch-invalidated price cache. The cache is a pure memo:
-/// results are bit-identical with or without it (see [`PriceCache`]).
-#[must_use]
-pub fn price_cell_nets_with(
     design: &Design,
     grid: &RouteGrid,
     routing: &Routing,
@@ -131,10 +112,8 @@ fn price_one_net(
 ) -> f64 {
     // Pin nodes at (possibly) overridden positions; the stay price does
     // not depend on them (it reads the committed route), so skip the work.
-    if stay {
-        scratch.pins.clear();
-    } else {
-        scratch.pins.clear();
+    scratch.pins.clear();
+    if !stay {
         scratch.pins.extend(design.net(net).pins.iter().map(|&p| {
             let pos = design.pin_position_overridden(p, |c| candidate.position_of(c));
             let (x, y) = grid.gcell_of(pos);
@@ -155,41 +134,21 @@ fn price_one_net(
 
     self_usage_discount_into(grid, routing, net, scratch);
     let current = routing.route(net);
-
-    let (price, routed) = if stay {
-        let p = if congestion_aware {
-            // Term order is the route's own edge order: fixed.
-            sum_ordered(
-                current
-                    .edges()
-                    .iter()
-                    .map(|&e| match scratch.discount.get(&e) {
-                        Some(&delta) => grid.cost_adjusted(e, delta),
-                        None => grid.cost(e),
-                    }),
-            )
-        } else {
-            // Length-only pricing ([18]'s model: route length and
-            // detours; no via or congestion term).
-            current.wirelength() as f64
-        };
-        (p, None)
+    let routed =
+        (!stay).then(|| pattern_route_tree_discounted(grid, &scratch.pins, &scratch.discount));
+    let priced = routed.as_ref().unwrap_or(current);
+    let price = if congestion_aware {
+        // Term order is the route's own edge order: fixed.
+        sum_ordered(
+            priced
+                .edges()
+                .iter()
+                .map(|&e| discounted_edge_cost(grid, &scratch.discount, e)),
+        )
     } else {
-        let route = pattern_route_tree_discounted(grid, &scratch.pins, &scratch.discount);
-        let p = if congestion_aware {
-            sum_ordered(
-                route
-                    .edges()
-                    .iter()
-                    .map(|&e| match scratch.discount.get(&e) {
-                        Some(&delta) => grid.cost_adjusted(e, delta),
-                        None => grid.cost(e),
-                    }),
-            )
-        } else {
-            route.wirelength() as f64
-        };
-        (p, Some(route))
+        // Length-only pricing ([18]'s model: route length and detours;
+        // no via or congestion term).
+        priced.wirelength() as f64
     };
 
     if let Some(cache) = cache {
@@ -290,27 +249,49 @@ fn self_usage_discount_into(
     }
 }
 
-/// Fills `routing_cost` on every candidate (line 11–13 of Algorithm 2,
-/// "run parallel"). `per_cell` holds the candidate list of each critical
-/// cell; lists are dispatched to [`CrpConfig::effective_threads`] workers
-/// through a shared work-stealing cursor, and costs are written back by
-/// list index — results are bit-identical for every thread count.
-/// Non-stay candidates receive an additional [`CrpConfig::move_margin`]
-/// so that moves need a real improvement to win over staying.
-pub fn estimate_candidates(
+/// The cost the selection step compares: the candidate's net price
+/// ([`price_cell_nets`]) plus [`CrpConfig::move_margin`] for non-stay
+/// candidates, so that moves need a real improvement to win over
+/// staying. The estimator and the price audit both call this one
+/// definition.
+fn candidate_cost(
     design: &Design,
     grid: &RouteGrid,
     routing: &Routing,
-    per_cell: &mut [Vec<Candidate>],
+    candidate: &Candidate,
     config: &CrpConfig,
-) {
-    estimate_candidates_cached(design, grid, routing, per_cell, config, None);
+    cache: Option<&PriceCache>,
+    scratch: &mut PriceScratch,
+) -> f64 {
+    let price = price_cell_nets(
+        design,
+        grid,
+        routing,
+        candidate,
+        config.congestion_aware,
+        cache,
+        scratch,
+    );
+    if candidate.is_stay(design) {
+        price
+    } else {
+        price + config.move_margin
+    }
 }
 
-/// [`estimate_candidates`] with an optional persistent [`PriceCache`]
-/// (the [`Crp`](crate::Crp) engine passes its own, so prices survive
-/// across iterations until the congestion under them changes).
-pub fn estimate_candidates_cached(
+/// Fills `routing_cost` on every candidate (line 11–13 of Algorithm 2,
+/// "run parallel"): the net price of [`price_cell_nets`] plus
+/// [`CrpConfig::move_margin`] for non-stay candidates. `per_cell` holds
+/// the candidate list of each critical cell; lists are dispatched to
+/// `config.threads` workers (resolved by [`resolve_threads`]) through a
+/// shared work-stealing cursor, and costs are written back by list index
+/// — results are bit-identical for every thread count.
+///
+/// `cache` is an optional persistent [`PriceCache`] (the
+/// [`Crp`](crate::Crp) engine passes its own, so prices survive across
+/// iterations until the congestion under them changes); results are
+/// bit-identical with or without it.
+pub fn estimate_candidates(
     design: &Design,
     grid: &RouteGrid,
     routing: &Routing,
@@ -318,27 +299,13 @@ pub fn estimate_candidates_cached(
     config: &CrpConfig,
     cache: Option<&PriceCache>,
 ) {
-    let threads = config.effective_threads().max(1);
+    let threads = resolve_threads(config.threads);
     let lists: &[Vec<Candidate>] = per_cell;
     let costs: Vec<Vec<f64>> =
         run_indexed(lists.len(), threads, PriceScratch::new, |scratch, i| {
             lists[i]
                 .iter()
-                .map(|cand| {
-                    let mut cost = price_cell_nets_with(
-                        design,
-                        grid,
-                        routing,
-                        cand,
-                        config.congestion_aware,
-                        cache,
-                        scratch,
-                    );
-                    if !cand.is_stay(design) {
-                        cost += config.move_margin;
-                    }
-                    cost
-                })
+                .map(|cand| candidate_cost(design, grid, routing, cand, config, cache, scratch))
                 .collect()
         });
     for (cands, cs) in per_cell.iter_mut().zip(costs) {
@@ -377,18 +344,7 @@ pub fn check_price_consistency(
                 break 'lists;
             }
             budget -= 1;
-            let mut fresh = price_cell_nets_with(
-                design,
-                grid,
-                routing,
-                cand,
-                config.congestion_aware,
-                None,
-                &mut scratch,
-            );
-            if !cand.is_stay(design) {
-                fresh += config.move_margin;
-            }
+            let fresh = candidate_cost(design, grid, routing, cand, config, None, &mut scratch);
             if fresh != cand.routing_cost {
                 out.push(CheckViolation::PriceMismatch {
                     cell: cand.cell,
@@ -400,45 +356,6 @@ pub fn check_price_consistency(
         }
     }
     out
-}
-
-/// The pre-work-stealing baseline: fixed `chunks_mut` partitioning with
-/// one fresh allocation set per candidate and no price cache. Kept only
-/// as the comparison point for the `estimate_phase` benchmark.
-#[doc(hidden)]
-pub fn estimate_candidates_chunked(
-    design: &Design,
-    grid: &RouteGrid,
-    routing: &Routing,
-    per_cell: &mut [Vec<Candidate>],
-    config: &CrpConfig,
-) {
-    let price_list = |cands: &mut Vec<Candidate>| {
-        for cand in cands.iter_mut() {
-            cand.routing_cost =
-                price_cell_nets(design, grid, routing, cand, config.congestion_aware);
-            if !cand.is_stay(design) {
-                cand.routing_cost += config.move_margin;
-            }
-        }
-    };
-    let threads = config.effective_threads().max(1);
-    if threads == 1 || per_cell.len() < 2 {
-        for cands in per_cell.iter_mut() {
-            price_list(cands);
-        }
-        return;
-    }
-    let chunk = per_cell.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for slice in per_cell.chunks_mut(chunk) {
-            scope.spawn(|| {
-                for cands in slice.iter_mut() {
-                    price_list(cands);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -469,14 +386,19 @@ mod tests {
         (d, grid, routing, vec![u0, u1])
     }
 
+    /// Congestion-aware price of one candidate, fresh scratch, no cache.
+    fn price(d: &Design, grid: &RouteGrid, routing: &Routing, cand: &Candidate) -> f64 {
+        price_cell_nets(d, grid, routing, cand, true, None, &mut PriceScratch::new())
+    }
+
     #[test]
     fn moving_toward_partner_prices_cheaper() {
         let (d, grid, routing, cells) = flow();
         let stay = Candidate::stay(&d, cells[0]);
         let mut toward = stay.clone();
         toward.pos = Point::new(10_000, 8_000);
-        let p_stay = price_cell_nets(&d, &grid, &routing, &stay, true);
-        let p_toward = price_cell_nets(&d, &grid, &routing, &toward, true);
+        let p_stay = price(&d, &grid, &routing, &stay);
+        let p_toward = price(&d, &grid, &routing, &toward);
         assert!(
             p_toward < p_stay,
             "moving closer must be cheaper: {p_toward} vs {p_stay}"
@@ -491,7 +413,7 @@ mod tests {
         // net is uncommitted.
         let (d, grid, routing, cells) = flow();
         let stay = Candidate::stay(&d, cells[0]);
-        let priced = price_cell_nets(&d, &grid, &routing, &stay, true);
+        let priced = price(&d, &grid, &routing, &stay);
 
         let mut clean = grid.clone();
         let route = routing.route(crp_netlist::NetId(0));
@@ -518,11 +440,11 @@ mod tests {
             ]
         };
         let mut a = make();
-        estimate_candidates(&d, &grid, &routing, &mut a, &cfg);
+        estimate_candidates(&d, &grid, &routing, &mut a, &cfg, None);
         let mut b = make();
         let mut cfg1 = cfg;
         cfg1.threads = 1;
-        estimate_candidates(&d, &grid, &routing, &mut b, &cfg1);
+        estimate_candidates(&d, &grid, &routing, &mut b, &cfg1, None);
         for (ca, cb) in a.iter().flatten().zip(b.iter().flatten()) {
             assert!(ca.routing_cost > 0.0);
             assert_eq!(
@@ -547,13 +469,13 @@ mod tests {
             ]
         };
         let mut fresh = make();
-        estimate_candidates(&d, &grid, &routing, &mut fresh, &cfg);
+        estimate_candidates(&d, &grid, &routing, &mut fresh, &cfg, None);
 
         let cache = PriceCache::new();
         // Two passes: the second must be all-hits and bit-identical.
         for pass in 0..2 {
             let mut cached = make();
-            estimate_candidates_cached(&d, &grid, &routing, &mut cached, &cfg, Some(&cache));
+            estimate_candidates(&d, &grid, &routing, &mut cached, &cfg, Some(&cache));
             for (ca, cb) in fresh.iter().flatten().zip(cached.iter().flatten()) {
                 assert_eq!(
                     ca.routing_cost, cb.routing_cost,
@@ -573,7 +495,7 @@ mod tests {
             vec![Candidate::stay(&d, cells[1])],
         ];
         let cache = PriceCache::new();
-        estimate_candidates_cached(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
+        estimate_candidates(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
         assert!(check_price_consistency(&d, &grid, &routing, &lists, &cfg, None).is_empty());
 
         // Poison the stay entry of the shared net and re-estimate: the
@@ -582,7 +504,7 @@ mod tests {
         let mut region = PriceRegion::empty();
         region.cover(0, 0);
         cache.store(&grid, NetId(0), true, &[], region, 1e9);
-        estimate_candidates_cached(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
+        estimate_candidates(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
         let v = check_price_consistency(&d, &grid, &routing, &lists, &cfg, None);
         assert!(
             v.iter()
@@ -594,25 +516,27 @@ mod tests {
     }
 
     #[test]
-    fn chunked_baseline_agrees_with_work_stealing() {
+    fn work_stealing_agrees_with_serial_fresh_pricing() {
         let (d, grid, routing, cells) = flow();
-        let cfg = CrpConfig::default();
-        let make = || {
-            vec![
-                vec![Candidate::stay(&d, cells[0])],
-                vec![Candidate::stay(&d, cells[1]), {
-                    let mut c = Candidate::stay(&d, cells[1]);
-                    c.pos = Point::new(8_000, 6_000);
-                    c
-                }],
-            ]
+        let cfg = CrpConfig {
+            threads: 4,
+            ..CrpConfig::default()
         };
-        let mut a = make();
-        estimate_candidates(&d, &grid, &routing, &mut a, &cfg);
-        let mut b = make();
-        estimate_candidates_chunked(&d, &grid, &routing, &mut b, &cfg);
-        for (ca, cb) in a.iter().flatten().zip(b.iter().flatten()) {
-            assert_eq!(ca.routing_cost, cb.routing_cost);
+        let mut lists = vec![
+            vec![Candidate::stay(&d, cells[0])],
+            vec![Candidate::stay(&d, cells[1]), {
+                let mut c = Candidate::stay(&d, cells[1]);
+                c.pos = Point::new(8_000, 6_000);
+                c
+            }],
+        ];
+        estimate_candidates(&d, &grid, &routing, &mut lists, &cfg, None);
+        // The reference: one candidate at a time, a fresh scratch each,
+        // no cache.
+        for cand in lists.iter().flatten() {
+            let mut scratch = PriceScratch::new();
+            let serial = candidate_cost(&d, &grid, &routing, cand, &cfg, None, &mut scratch);
+            assert_eq!(cand.routing_cost, serial);
         }
     }
 
@@ -628,7 +552,7 @@ mod tests {
             c.pos = Point::new(400, 0); // trivial sideways move
             c
         }]];
-        estimate_candidates(&d, &grid, &routing, &mut lists, &cfg);
+        estimate_candidates(&d, &grid, &routing, &mut lists, &cfg, None);
         assert!(
             lists[0][1].routing_cost > lists[0][0].routing_cost,
             "margin must make near-equivalent moves lose"
@@ -642,8 +566,8 @@ mod tests {
         joint
             .moves
             .push((cells[1], Point::new(0, 2_000), crp_geom::Orientation::FS));
-        let p_joint = price_cell_nets(&d, &grid, &routing, &joint, true);
-        let p_stay = price_cell_nets(&d, &grid, &routing, &Candidate::stay(&d, cells[0]), true);
+        let p_joint = price(&d, &grid, &routing, &joint);
+        let p_stay = price(&d, &grid, &routing, &Candidate::stay(&d, cells[0]));
         // Bringing u1 next to u0 shrinks the shared net drastically.
         assert!(p_joint < p_stay);
     }
@@ -658,7 +582,7 @@ mod tests {
             // The cache is a pure memo: after arbitrary cell moves and
             // reroutes (which mutate the grid and the routing), pricing
             // through a cache that saw every intermediate state still
-            // equals a fresh `price_cell_nets` computation, bit for bit.
+            // equals a fresh, cache-free computation, bit for bit.
             #[test]
             fn cache_is_never_stale_under_moves_and_reroutes(
                 steps in proptest::collection::vec((0u16..2, 0u16..25, 0u16..8), 1..6)
@@ -672,7 +596,7 @@ mod tests {
                     // Warm the cache against the current state.
                     let mut lists: Vec<Vec<Candidate>> =
                         cells.iter().map(|&c| vec![Candidate::stay(&d, c)]).collect();
-                    estimate_candidates_cached(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
+                    estimate_candidates(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
 
                     // Mutate: move a cell to a (site-aligned) position and
                     // reroute its nets — exactly what the update step does.
@@ -686,9 +610,9 @@ mod tests {
                     // Cached pricing after mutation must equal fresh pricing.
                     for &c in &cells {
                         let cand = Candidate::stay(&d, c);
-                        let fresh = price_cell_nets(&d, &grid, &routing, &cand, true);
+                        let fresh = price(&d, &grid, &routing, &cand);
                         let mut scratch = PriceScratch::new();
-                        let cached = price_cell_nets_with(
+                        let cached = price_cell_nets(
                             &d, &grid, &routing, &cand, true, Some(&cache), &mut scratch,
                         );
                         prop_assert_eq!(fresh, cached, "stale cache after move/reroute");

@@ -2,10 +2,10 @@
 
 use crate::candidate::Candidate;
 use crate::config::CrpConfig;
-use crate::estimate::{check_price_consistency, estimate_candidates_cached};
+use crate::estimate::{check_price_consistency, estimate_candidates};
 use crate::label::label_critical_cells;
 use crate::legalizer::Legalizer;
-use crate::parallel::run_indexed;
+use crate::parallel::{resolve_threads, run_indexed};
 use crate::price_cache::PriceCache;
 use crate::replay_rng::ReplayRng;
 use crate::select::select_candidates;
@@ -143,13 +143,6 @@ impl Crp {
         }
     }
 
-    /// The engine's persistent per-net price cache (read-only view, e.g.
-    /// for inspecting lifetime hit/miss totals).
-    #[must_use]
-    pub fn price_cache(&self) -> &PriceCache {
-        &self.cache
-    }
-
     /// The configuration in use.
     #[must_use]
     pub fn config(&self) -> &CrpConfig {
@@ -224,7 +217,7 @@ impl Crp {
             design,
             &legalizer,
             &critical,
-            self.config.effective_threads(),
+            resolve_threads(self.config.threads),
         );
         self.timers.gcp += t.elapsed();
         if level.full() {
@@ -249,7 +242,7 @@ impl Crp {
         let t = Instant::now();
         let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
         let cache = self.config.price_cache.then_some(&self.cache);
-        estimate_candidates_cached(design, grid, routing, &mut per_cell, &self.config, cache);
+        estimate_candidates(design, grid, routing, &mut per_cell, &self.config, cache);
         self.timers.ecc += t.elapsed();
         self.timers.ecc_cache_hits += self.cache.hits() - hits0;
         self.timers.ecc_cache_misses += self.cache.misses() - misses0;

@@ -68,7 +68,7 @@ impl<'a> Legalizer<'a> {
         for r in r0..=r1 {
             let row = &design.rows[r];
             let row_span = row.rect(design.site).x_span();
-            let lo = align_up(wx.lo.max(row_span.lo), row.origin.x, site_w);
+            let lo = row.align_up(design.site, wx.lo.max(row_span.lo));
             let hi = (wx.hi.min(row_span.hi) - m.width).max(lo - 1);
             let mut x = lo;
             while x <= hi {
@@ -198,7 +198,7 @@ impl<'a> Legalizer<'a> {
             for (row_id, intervals) in &free {
                 let row = &design.rows[row_id.index()];
                 for iv in intervals {
-                    let lo = align_up(iv.lo, row.origin.x, site_w);
+                    let lo = row.align_up(design.site, iv.lo);
                     let mut x = lo;
                     while x + mc.width <= iv.hi {
                         options.push((eq11_cost(Point::new(x, row.origin.y), med), *row_id, x));
@@ -261,19 +261,6 @@ fn var_index(v: VarId) -> usize {
 /// moves because distances are in DBU.
 fn eq11_cost(pos: Point, median: Point) -> f64 {
     pos.manhattan(median) as f64
-}
-
-/// The smallest site-aligned x at or above `x` for a row starting at
-/// `row_x` with site width `site_w`.
-fn align_up(x: Dbu, row_x: Dbu, site_w: Dbu) -> Dbu {
-    let rel = x - row_x;
-    let aligned = rel.div_euclid(site_w) * site_w
-        + if rel.rem_euclid(site_w) == 0 {
-            0
-        } else {
-            site_w
-        };
-    row_x + aligned
 }
 
 #[cfg(test)]
@@ -398,15 +385,6 @@ mod tests {
         };
         let lg = Legalizer::new(&d, &cfg);
         assert!(lg.candidates_for(cells[0]).len() < 3);
-    }
-
-    #[test]
-    fn align_up_works() {
-        assert_eq!(align_up(0, 0, 200), 0);
-        assert_eq!(align_up(1, 0, 200), 200);
-        assert_eq!(align_up(200, 0, 200), 200);
-        assert_eq!(align_up(350, 100, 200), 500);
-        assert_eq!(align_up(-150, 0, 200), 0);
     }
 
     /// Every claim of every candidate must satisfy the oracle's claim

@@ -14,7 +14,10 @@
 //!    ("conflict") cells' new legal positions.
 //! 3. **Estimate candidate cost** (Algorithm 3, [`estimate_candidates`]) —
 //!    every candidate is priced by Steiner-topology 3D pattern routing
-//!    with the congestion-aware Eq. 10 edge cost.
+//!    with the congestion-aware Eq. 10 edge cost. [`estimate_candidates`]
+//!    is the single estimator: it takes an optional [`PriceCache`], and
+//!    the [`check_price_consistency`] audit re-prices through the same
+//!    per-candidate cost without it.
 //! 4. **Select** (Eq. 12, [`select_candidates`]) — one candidate per
 //!    critical cell via an exact 0-1 ILP with spatial conflicts.
 //! 5. **Update database** ([`Crp::run_iteration`]) — selected moves are
@@ -66,17 +69,12 @@ pub use config::CrpConfig;
 /// The invariant-check tier driving the per-phase oracle (re-exported
 /// from [`crp_check`] so configuring the flow needs no extra import).
 pub use crp_check::CheckLevel;
-#[doc(hidden)]
-pub use estimate::estimate_candidates_chunked;
-pub use estimate::{
-    check_price_consistency, estimate_candidates, estimate_candidates_cached, price_cell_nets,
-    price_cell_nets_with, PriceScratch,
-};
+pub use estimate::{check_price_consistency, estimate_candidates, price_cell_nets, PriceScratch};
 pub use flow::{Crp, FlowState, IterationReport};
 pub use label::label_critical_cells;
 pub use legalizer::Legalizer;
 pub use median_move::{MedianMoveOutcome, MedianMover, MedianMoverConfig};
-pub use parallel::run_indexed;
+pub use parallel::{resolve_threads, run_indexed};
 pub use price_cache::{PriceCache, PriceRegion};
 pub use replay_rng::ReplayRng;
 pub use select::{select_candidates, Selection};

@@ -19,9 +19,8 @@
 //! paper reports for `ispd18_test10`.
 
 use crate::candidate::Candidate;
-use crate::config::CrpConfig;
-use crate::estimate::{price_cell_nets_with, PriceScratch};
-use crate::parallel::run_indexed;
+use crate::estimate::{price_cell_nets, PriceScratch};
+use crate::parallel::{resolve_threads, run_indexed};
 use crp_geom::{Dbu, Interval, Point};
 use crp_grid::RouteGrid;
 use crp_ilp::{Model, SolveLimits, VarId};
@@ -118,13 +117,7 @@ impl MedianMover {
             .collect();
         let occupancy = RowMap::new(design);
         let routing_view: &Routing = routing;
-        let threads = if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(8)
-        };
+        let threads = resolve_threads(self.config.threads);
 
         let mut per_cell: Vec<Vec<Candidate>> =
             run_indexed(cells.len(), threads, PriceScratch::new, |scratch, i| {
@@ -133,15 +126,8 @@ impl MedianMover {
                 cands.extend(self.median_candidates(design, &occupancy, cell));
                 for cand in &mut cands {
                     // Congestion-blind pricing: pure length + via weights.
-                    cand.routing_cost = price_cell_nets_with(
-                        design,
-                        grid,
-                        routing_view,
-                        cand,
-                        false,
-                        None,
-                        scratch,
-                    );
+                    cand.routing_cost =
+                        price_cell_nets(design, grid, routing_view, cand, false, None, scratch);
                 }
                 cands
             });
@@ -342,18 +328,18 @@ impl MedianMover {
             let row = &design.rows[r];
             for iv in occ.free_intervals(design, &[cell], r, wx) {
                 // Nearest site-aligned x to the median within the interval.
-                let lo = align_up(iv.lo, row.origin.x, site_w);
+                let lo = row.align_up(design.site, iv.lo);
                 let hi = iv.hi - m.width;
                 if hi < lo {
                     continue;
                 }
                 let target = median.x.clamp(lo, hi);
-                let snapped = align_up(
-                    target - (target - row.origin.x).rem_euclid(site_w),
-                    row.origin.x,
-                    site_w,
-                )
-                .clamp(lo, hi);
+                let snapped = row
+                    .align_up(
+                        design.site,
+                        target - (target - row.origin.x).rem_euclid(site_w),
+                    )
+                    .clamp(lo, hi);
                 for x in [snapped, snapped - site_w, snapped + site_w] {
                     if x >= lo && x <= hi && (x - row.origin.x).rem_euclid(site_w) == 0 {
                         let pos = Point::new(x, row.origin.y);
@@ -379,24 +365,6 @@ impl MedianMover {
             })
             .collect()
     }
-}
-
-fn align_up(x: Dbu, row_x: Dbu, site_w: Dbu) -> Dbu {
-    let rel = x - row_x;
-    let aligned = rel.div_euclid(site_w) * site_w
-        + if rel.rem_euclid(site_w) == 0 {
-            0
-        } else {
-            site_w
-        };
-    row_x + aligned
-}
-
-/// Shares the spatial-pruning reach computation with CR&P selection so the
-/// two engines stay comparable in tests.
-#[doc(hidden)]
-pub fn _reach(config: &CrpConfig, design: &Design) -> i64 {
-    2 * (config.n_site * design.site.width + config.n_row * design.site.height)
 }
 
 #[cfg(test)]

@@ -14,6 +14,22 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Resolves a requested worker count: `0` means the machine's available
+/// parallelism, capped at 8; any other value is used as given. Every
+/// thread knob in the workspace (`CrpConfig::threads`, `GpConfig::threads`,
+/// `MedianMoverConfig::threads`) resolves through here. Output never
+/// depends on the result — only wall clock does.
+#[must_use]
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(8)
+    }
+}
+
 /// Runs `work` over indices `0..n` on `threads` workers with work
 /// stealing, returning the results in index order.
 ///
@@ -79,6 +95,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resolve_threads_positive_and_capped() {
+        let auto = resolve_threads(0);
+        assert!((1..=8).contains(&auto));
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(resolve_threads(16), 16, "an explicit count is not capped");
+    }
 
     #[test]
     fn results_land_in_index_order() {

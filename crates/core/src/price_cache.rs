@@ -233,38 +233,18 @@ impl PriceCache {
         shard.insert(key, entry);
     }
 
-    /// Total lookup hits since construction (or the last `reset_stats`).
+    /// Total lookup hits since construction.
     #[must_use]
     pub fn hits(&self) -> u64 {
         // atomics(stat counters): read after the phase joins (see lookup).
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Total lookup misses since construction (or the last `reset_stats`).
+    /// Total lookup misses since construction.
     #[must_use]
     pub fn misses(&self) -> u64 {
         // atomics(stat counters): read after the phase joins (see lookup).
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Resets the hit/miss counters (entries are kept).
-    pub fn reset_stats(&self) {
-        // atomics(stat counters): called between phases, never concurrently
-        // with lookups (see lookup).
-        self.hits.store(0, Ordering::Relaxed);
-        // atomics(stat counters): same protocol as the line above.
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
-        self.reset_stats();
     }
 }
 
@@ -342,19 +322,6 @@ mod tests {
         let cache = PriceCache::new();
         cache.store(&g, NetId(1), false, &[], PriceRegion::empty(), 5.0);
         assert_eq!(cache.lookup(&g, NetId(1), false, &[]), None);
-    }
-
-    #[test]
-    fn clear_and_reset() {
-        let g = grid();
-        let cache = PriceCache::new();
-        let pins = [PinNode::new(1, 1, 0)];
-        cache.store(&g, NetId(2), false, &pins, region((1, 1), (1, 1)), 3.0);
-        assert_eq!(cache.lookup(&g, NetId(2), false, &pins), Some(3.0));
-        cache.clear();
-        assert_eq!(cache.lookup(&g, NetId(2), false, &pins), None);
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]

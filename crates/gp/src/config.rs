@@ -20,9 +20,9 @@ pub struct GpConfig {
     /// Multiplicative density-weight growth per iteration; must be
     /// `>= 1` so the schedule is monotone.
     pub lambda_growth: f64,
-    /// Worker threads for gradient/transform dispatch; `0` means use
-    /// `std::thread::available_parallelism`, capped at 8 (mirrors
-    /// `CrpConfig::effective_threads`). Output is identical either way.
+    /// Worker threads for gradient/transform dispatch; `0` means the
+    /// machine's parallelism, capped at 8 (resolved by
+    /// [`crp_core::resolve_threads`]). Output is identical either way.
     pub threads: usize,
     /// Seed for the initial spreading jitter (drawn through
     /// `crp_core::ReplayRng` in cell-id order).
@@ -43,19 +43,6 @@ impl Default for GpConfig {
 }
 
 impl GpConfig {
-    /// Resolves `threads == 0` to the machine's parallelism, capped at 8.
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(8)
-        }
-    }
-
     /// Resolves `bins == 0` to `ceil(sqrt(movables))` clamped to `[8, 64]`.
     #[must_use]
     pub fn effective_bins(&self, movables: usize) -> usize {
@@ -87,11 +74,12 @@ mod tests {
 
     #[test]
     fn threads_resolve_nonzero() {
-        assert!(GpConfig::default().effective_threads() >= 1);
+        let resolve = |cfg: GpConfig| crp_core::resolve_threads(cfg.threads);
+        assert!(resolve(GpConfig::default()) >= 1);
         let cfg = GpConfig {
             threads: 3,
             ..GpConfig::default()
         };
-        assert_eq!(cfg.effective_threads(), 3);
+        assert_eq!(resolve(cfg), 3);
     }
 }

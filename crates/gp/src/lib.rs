@@ -46,5 +46,5 @@ mod wirelength;
 pub use config::GpConfig;
 pub use error::GpError;
 pub use legalize::{legalize_abacus, AbacusStats};
-pub use place::{place, place_to_snapshot, strip_placement, PlaceReport};
+pub use place::{place, strip_placement, PlaceReport};
 pub use placer::{GlobalPlacer, GpIterStats, GpState};

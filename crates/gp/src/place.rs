@@ -4,7 +4,7 @@ use crate::config::GpConfig;
 use crate::error::GpError;
 use crate::legalize::{legalize_abacus, AbacusStats};
 use crate::placer::{GlobalPlacer, GpIterStats};
-use crp_netlist::{Design, Placement};
+use crp_netlist::Design;
 
 /// What [`place`] did: the solver trajectory and the legalization
 /// summary.
@@ -46,19 +46,6 @@ pub fn place(design: &mut Design, cfg: &GpConfig) -> Result<PlaceReport, GpError
         iterations,
         legalize,
     })
-}
-
-/// Like [`place`] but leaves `design` untouched, returning the legal
-/// placement as a detached [`Placement`] snapshot — the handoff type a
-/// caller applies onto its own design instance (the serve daemon does
-/// this when resuming a `place` job on a freshly rebuilt base design).
-pub fn place_to_snapshot(
-    design: &Design,
-    cfg: &GpConfig,
-) -> Result<(Placement, PlaceReport), GpError> {
-    let mut scratch = design.clone();
-    let report = place(&mut scratch, cfg)?;
-    Ok((Placement::capture(&scratch), report))
 }
 
 #[cfg(test)]
@@ -114,27 +101,6 @@ mod tests {
         place(&mut b, &cfg).unwrap();
         for id in a.cell_ids() {
             assert_eq!(a.cell(id).pos, b.cell(id).pos, "cell {id}");
-        }
-    }
-
-    #[test]
-    fn snapshot_applies_onto_a_fresh_instance() {
-        let cfg = GpConfig {
-            iterations: 8,
-            threads: 1,
-            ..GpConfig::default()
-        };
-        let original = design();
-        let (snap, _) = place_to_snapshot(&original, &cfg).unwrap();
-        let mut fresh = design();
-        snap.apply(&mut fresh).unwrap();
-        assert!(crp_check::check_placement(&fresh).is_empty());
-        // The source design was not mutated.
-        for (id, c) in original
-            .cell_ids()
-            .zip(design().cells().map(|(_, c)| c.pos))
-        {
-            assert_eq!(original.cell(id).pos, c);
         }
     }
 }

@@ -201,7 +201,7 @@ impl GlobalPlacer {
     /// Combined preconditioned gradient at `(x, y)`, plus metrics.
     /// Initializes `lambda` on the first ever evaluation.
     fn grad_at(&mut self, x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>, GpIterStats) {
-        let threads = self.cfg.effective_threads();
+        let threads = crp_core::resolve_threads(self.cfg.threads);
         let gamma_x = self.cfg.gamma_bins * self.grid.bin_w;
         let gamma_y = self.cfg.gamma_bins * self.grid.bin_h;
         let wl = wl_grad(&self.model, x, y, gamma_x, gamma_y, threads);

@@ -1,7 +1,7 @@
 //! The mutable routing-resource grid.
 
 use crate::{Edge, GridConfig};
-use crp_geom::{sum_ordered, Axis, Dbu, Point, Rect};
+use crp_geom::{sum_ordered, Axis, Point, Rect};
 use crp_netlist::Design;
 use serde::{Deserialize, Serialize};
 
@@ -82,8 +82,8 @@ impl RouteGrid {
     /// capacities from each layer's track pitch, and fixed usage from the
     /// design's blockages.
     ///
-    /// This is the panicking convenience wrapper around [`try_new`]
-    /// (`RouteGrid::try_new`) — the flow validates designs at parse time,
+    /// This is the panicking convenience wrapper around
+    /// [`try_new`](Self::try_new) — the flow validates designs at parse time,
     /// so construction failure here is a caller bug.
     ///
     /// # Panics
@@ -100,8 +100,8 @@ impl RouteGrid {
         }
     }
 
-    /// Fallible grid construction: every precondition [`new`]
-    /// (`RouteGrid::new`) asserts is reported as a [`GridError`] instead.
+    /// Fallible grid construction: every precondition [`new`](Self::new)
+    /// asserts is reported as a [`GridError`] instead.
     ///
     /// # Errors
     ///
@@ -619,13 +619,6 @@ impl RouteGrid {
     #[must_use]
     pub fn route_cost(&self, edges: &[Edge]) -> f64 {
         edges.iter().map(|&e| self.cost(e)).sum()
-    }
-
-    /// The gcell-center Manhattan distance between two gcells, in DBU.
-    #[must_use]
-    pub fn center_distance(&self, a: (u16, u16), b: (u16, u16)) -> Dbu {
-        self.gcell_center(a.0, a.1)
-            .manhattan(self.gcell_center(b.0, b.1))
     }
 }
 

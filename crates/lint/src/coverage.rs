@@ -11,7 +11,7 @@
 //! whole workspace), resolves `<ser_fn>` / `<de_fn>` the same way, and
 //! computes the set of identifiers mentioned by each function *and
 //! everything it transitively calls* (over the call graph of
-//! [`crate::dataflow::Workspace`]). A field whose name never appears in
+//! `dataflow::Workspace`). A field whose name never appears in
 //! the serializer's reachable identifiers is state the checkpoint
 //! silently drops; one missing from the restorer is state that never
 //! comes back. Findings anchor at the field's declaration line, so a

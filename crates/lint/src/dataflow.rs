@@ -1,7 +1,7 @@
 //! Interprocedural dataflow rules: `float-order` and `epoch-protocol`.
 //!
 //! Both rules (and the `state-coverage` rule in [`crate::coverage`],
-//! which reuses this module's [`Workspace`]) work on a whole-workspace
+//! which reuses this module's `Workspace`) work on a whole-workspace
 //! call graph built the same way as [`crate::locks`]: every function is
 //! found by the item scan, every call site is resolved by name and arity
 //! (same-file candidates shadow same-crate, which shadow the rest of

@@ -86,6 +86,19 @@ impl Row {
     pub fn site_x(&self, site: SiteInfo, i: u32) -> Dbu {
         self.origin.x + site.width * Dbu::from(i)
     }
+
+    /// The smallest site-aligned x at or above `x` in this row.
+    #[must_use]
+    pub fn align_up(&self, site: SiteInfo, x: Dbu) -> Dbu {
+        let rel = x - self.origin.x;
+        let aligned = rel.div_euclid(site.width) * site.width
+            + if rel.rem_euclid(site.width) == 0 {
+                0
+            } else {
+                site.width
+            };
+        self.origin.x + aligned
+    }
 }
 
 /// The complete placed design: technology + floorplan + netlist + placement.
@@ -405,6 +418,21 @@ mod tests {
         b.connect(n2, u2, "Y");
         b.connect(n2, u3, "A");
         b.build()
+    }
+
+    #[test]
+    fn align_up_works() {
+        let site = SiteInfo::new(200, 2000);
+        let row = |x| Row {
+            origin: Point::new(x, 0),
+            num_sites: 10,
+            orient: Orientation::N,
+        };
+        assert_eq!(row(0).align_up(site, 0), 0);
+        assert_eq!(row(0).align_up(site, 1), 200);
+        assert_eq!(row(0).align_up(site, 200), 200);
+        assert_eq!(row(100).align_up(site, 350), 500);
+        assert_eq!(row(0).align_up(site, -150), 0);
     }
 
     #[test]

@@ -38,7 +38,6 @@ mod builder;
 mod design;
 mod ids;
 mod legal;
-mod placement;
 mod rowmap;
 mod stats;
 mod tech;
@@ -47,7 +46,6 @@ pub use builder::DesignBuilder;
 pub use design::{Cell, Design, Net, Pin, PinOwner, Row};
 pub use ids::{CellId, MacroId, NetId, PinId, RowId};
 pub use legal::{check_legality, LegalityViolation};
-pub use placement::Placement;
 pub use rowmap::RowMap;
 pub use stats::{median_position, net_bounding_box, net_hpwl, total_hpwl, DesignStats};
 pub use tech::{LayerInfo, MacroCell, MacroPin, SiteInfo};

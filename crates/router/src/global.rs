@@ -17,8 +17,6 @@ pub struct RouterConfig {
     pub hist_weight: f64,
     /// History increment added per unit of overflow each round.
     pub hist_increment: f64,
-    /// Upper bound on nets rerouted per round (0 = unlimited).
-    pub max_reroutes_per_round: usize,
     /// Run the net-level DP layer assignment
     /// ([`reassign_layers`](crate::reassign_layers)) on every route after
     /// the cleanup passes. Off by default (the greedy assignment is what
@@ -38,7 +36,6 @@ impl Default for RouterConfig {
             rrr_rounds: 3,
             hist_weight: 2.0,
             hist_increment: 1.0,
-            max_reroutes_per_round: 0,
             layer_dp: false,
             cleanup_rounds: 2,
         }
@@ -177,9 +174,6 @@ impl GlobalRouter {
             .map(|n| (n, routing.routes[n.index()].cost(grid)))
             .collect();
         victims.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        if self.config.max_reroutes_per_round > 0 {
-            victims.truncate(self.config.max_reroutes_per_round);
-        }
 
         for (net, _) in victims {
             self.reroute_with_maze(design, grid, routing, net);
@@ -274,11 +268,6 @@ impl GlobalRouter {
         }
         route.normalize();
         Some(route)
-    }
-
-    /// Resets the accumulated RRR history.
-    pub fn clear_history(&mut self) {
-        self.history.clear();
     }
 }
 

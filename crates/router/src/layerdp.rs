@@ -14,8 +14,8 @@
 //! ignored via a BFS spanning tree) and runs in
 //! `O(segments × layers²)`.
 
-use crate::pattern::PinNode;
-use crate::route::{NetRoute, RouteSeg, ViaStack};
+use crate::pattern::{build_via_stacks, PinNode};
+use crate::route::{NetRoute, RouteSeg};
 use crp_geom::Axis;
 use crp_grid::{Edge, RouteGrid};
 use std::collections::{BTreeMap, HashMap};
@@ -184,36 +184,13 @@ pub fn reassign_layers(grid: &RouteGrid, route: &NetRoute, pins: &[PinNode]) -> 
         .zip(&assigned)
         .map(|(s, &l)| RouteSeg::new(l, s.from, s.to))
         .collect();
-    let vias = rebuild_stacks(&new_segs, pins);
+    let vias = build_via_stacks(&new_segs, pins);
     let mut out = NetRoute {
         segs: new_segs,
         vias,
     };
     out.normalize();
     out
-}
-
-/// Via stacks connecting all segment endpoints and pin layers per gcell
-/// (same construction as the pattern router's).
-fn rebuild_stacks(segs: &[RouteSeg], pins: &[PinNode]) -> Vec<ViaStack> {
-    let mut layers_at: BTreeMap<(u16, u16), (u16, u16)> = BTreeMap::new();
-    let mut note = |x: u16, y: u16, l: u16| {
-        let e = layers_at.entry((x, y)).or_insert((l, l));
-        e.0 = e.0.min(l);
-        e.1 = e.1.max(l);
-    };
-    for s in segs {
-        note(s.from.0, s.from.1, s.layer);
-        note(s.to.0, s.to.1, s.layer);
-    }
-    for p in pins {
-        note(p.x, p.y, p.layer);
-    }
-    layers_at
-        .into_iter()
-        .filter(|&(_, (lo, hi))| hi > lo)
-        .map(|((x, y), (lo, hi))| ViaStack { x, y, lo, hi })
-        .collect()
 }
 
 #[cfg(test)]

@@ -55,6 +55,6 @@ pub use global::{GlobalRouter, RouterConfig};
 pub use layerdp::reassign_layers;
 pub use maze::maze_route;
 pub use pattern::{
-    pattern_route_tree, pattern_route_tree_discounted, price_net, price_net_discounted, PinNode,
+    discounted_edge_cost, pattern_route_tree, pattern_route_tree_discounted, price_net, PinNode,
 };
 pub use route::{net_pin_nodes, NetRoute, RouteSeg, Routing, ViaStack};

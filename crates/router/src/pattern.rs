@@ -84,8 +84,8 @@ impl<'a> CostCtx<'a> {
     }
 
     pub(crate) fn edge_cost(&self, e: Edge) -> f64 {
-        let mut c = match self.discount.and_then(|d| d.get(&e)) {
-            Some(&delta) => self.grid.cost_adjusted(e, delta),
+        let mut c = match self.discount {
+            Some(discount) => discounted_edge_cost(self.grid, discount, e),
             None => self.grid.cost(e),
         };
         if let Some(h) = self.history {
@@ -125,6 +125,19 @@ impl<'a> CostCtx<'a> {
     fn run_cost_v(&self, x: u16, y0: u16, y1: u16) -> f64 {
         let (lo, hi) = (y0.min(y1), y0.max(y1));
         sum_ordered((lo..hi).map(|y| self.cross_cost(Axis::Y, x, y)))
+    }
+}
+
+/// The Eq. 10 cost of `e` with its demand shifted by the delta that
+/// `discount` holds for it; edges absent from the map cost as usual.
+///
+/// The pattern router's search and CR&P's candidate pricer both use it,
+/// so a candidate route is priced by the same cost it was chosen by.
+#[must_use]
+pub fn discounted_edge_cost(grid: &RouteGrid, discount: &BTreeMap<Edge, f64>, e: Edge) -> f64 {
+    match discount.get(&e) {
+        Some(&delta) => grid.cost_adjusted(e, delta),
+        None => grid.cost(e),
     }
 }
 
@@ -227,7 +240,7 @@ fn assign_layer(ctx: &CostCtx<'_>, seg: Seg2) -> RouteSeg {
 
 /// Builds via stacks that connect all segment endpoints (and pin layers)
 /// at each junction gcell.
-fn build_via_stacks(segs: &[RouteSeg], pins: &[PinNode]) -> Vec<ViaStack> {
+pub(crate) fn build_via_stacks(segs: &[RouteSeg], pins: &[PinNode]) -> Vec<ViaStack> {
     let mut layers_at: BTreeMap<(u16, u16), (u16, u16)> = BTreeMap::new();
     let mut note = |x: u16, y: u16, l: u16| {
         let e = layers_at.entry((x, y)).or_insert((l, l));
@@ -327,27 +340,12 @@ pub fn price_net(grid: &RouteGrid, pins: &[PinNode]) -> f64 {
     route.cost(grid)
 }
 
-/// Like [`price_net`], but with a per-edge demand discount: `discount`
-/// maps grid edges to demand deltas applied during both the routing search
-/// and the final pricing. CR&P passes the negated self-usage of the net's
-/// current route so the stay candidate is priced as if the net were
-/// ripped up — the comparison against move candidates is then unbiased.
-#[must_use]
-pub fn price_net_discounted(
-    grid: &RouteGrid,
-    pins: &[PinNode],
-    discount: &BTreeMap<Edge, f64>,
-) -> f64 {
-    let ctx = CostCtx::with_discount(grid, discount);
-    let route = route_with_ctx(&ctx, pins);
-    sum_ordered(route.edges().iter().map(|&e| match discount.get(&e) {
-        Some(&delta) => grid.cost_adjusted(e, delta),
-        None => grid.cost(e),
-    }))
-}
-
-/// Routes with the same demand discount as [`price_net_discounted`] and
-/// returns the route itself (for callers that need wirelength/via counts).
+/// Routes like [`pattern_route_tree`] without history, but with a
+/// per-edge demand discount: `discount` maps grid edges to demand deltas
+/// applied throughout the routing search (see [`discounted_edge_cost`]).
+/// CR&P passes the negated self-usage of the net's current route, so a
+/// move candidate is routed as if the net were ripped up and the
+/// comparison against staying put is unbiased.
 #[must_use]
 pub fn pattern_route_tree_discounted(
     grid: &RouteGrid,

@@ -89,7 +89,7 @@ fn best_slot(
                 continue;
             }
             // Try the slot nearest the median inside this interval.
-            let lo = align_up(iv.lo, row.origin.x, site_w);
+            let lo = row.align_up(design.site, iv.lo);
             let hi = iv.hi - m.width;
             if hi < lo {
                 continue;
@@ -107,17 +107,6 @@ fn best_slot(
         }
     }
     best.map(|(_, pos, orient)| (pos, orient))
-}
-
-fn align_up(x: Dbu, row_x: Dbu, site_w: Dbu) -> Dbu {
-    let rel = x - row_x;
-    let aligned = rel.div_euclid(site_w) * site_w
-        + if rel.rem_euclid(site_w) == 0 {
-            0
-        } else {
-            site_w
-        };
-    row_x + aligned
 }
 
 #[cfg(test)]

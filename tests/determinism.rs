@@ -57,7 +57,7 @@ fn estimate_pass(threads: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
             cands
         })
         .collect();
-    estimate_candidates(&design, &grid, &routing, &mut per_cell, &cfg);
+    estimate_candidates(&design, &grid, &routing, &mut per_cell, &cfg, None);
     let chosen = select_candidates(&design, &per_cell, &cfg).chosen;
     let costs = per_cell
         .iter()

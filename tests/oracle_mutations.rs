@@ -8,7 +8,7 @@ use crp_check::{
     CheckViolation, PlacementSnapshot,
 };
 use crp_core::{
-    check_price_consistency, estimate_candidates_cached, Candidate, CheckLevel, Crp, CrpConfig,
+    check_price_consistency, estimate_candidates, Candidate, CheckLevel, Crp, CrpConfig,
     PriceCache, PriceRegion,
 };
 use crp_grid::{GridConfig, RouteGrid};
@@ -170,7 +170,7 @@ fn corruption_stale_cache_entry_fires_price_audit() {
     cache.store(&grid, net, true, &[], region, 1e12);
 
     let mut lists = vec![vec![Candidate::stay(&d, cell)]];
-    estimate_candidates_cached(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
+    estimate_candidates(&d, &grid, &routing, &mut lists, &cfg, Some(&cache));
     assert!(cache.hits() > 0, "poisoned entry was never served");
     let v = check_price_consistency(&d, &grid, &routing, &lists, &cfg, None);
     assert!(
